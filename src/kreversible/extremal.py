@@ -68,15 +68,34 @@ def config_orbit_code(g: Graph, x: Configuration) -> bytes:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Maximum transient of one tree with every attaining configuration."""
+    """Maximum transient of one tree with every attaining configuration; the
+    per-tree result that workers return, the ledger stores and reports read."""
 
+    tree: Graph
     tree_code: str
     k: int
     tau_max: int
-    records: tuple[ExtremalRecord, ...]
-    raw_config_count: int       # both half-spaces
-    mod_negation_count: int     # representatives with vertex 1 at +1
-    orbit_count: int            # distinct modulo negation + tree automorphism
+    starts: tuple[tuple[int, int], ...]  # (bits, period), vertex 1 at +1, bits increasing
+
+    @property
+    def records(self) -> tuple[ExtremalRecord, ...]:
+        n, edges = self.tree.n, self.tree.edges
+        return tuple(
+            ExtremalRecord(self.tree_code, edges, Configuration(n, b), self.tau_max, p)
+            for b, p in self.starts
+        )
+
+    @property
+    def raw_config_count(self) -> int:  # both half-spaces
+        return 2 * len(self.starts)
+
+    @property
+    def mod_negation_count(self) -> int:  # representatives with vertex 1 at +1
+        return len(self.starts)
+
+    @property
+    def orbit_count(self) -> int:  # distinct modulo negation + tree automorphism
+        return len({config_orbit_code(self.tree, r.config) for r in self.records})
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,42 +117,37 @@ def max_transient_search(
 
     Every record is re-verified through the scalar trajectory path, and so is
     its global negation — the raw count being twice the modulo-negation count
-    is checked, not assumed. Sweep-wide bound violations raise.
+    is checked, not assumed. Sweep-wide bound violations raise. Each error
+    names the tree, k and the start, which `kreversible simulate` replays.
     """
     if not is_tree(tree):
         raise ValueError("extremal search is scoped to trees")
     if tree.n > limit:
         raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
-    res = sweep(tree, k)
-    if np.any(res.taus > res.plateau_energies + tree.n - 1):
-        raise InternalInvariantError("transient exceeded plateau-energy bound")
-    if np.any(res.taus > tree.n * (k + 1) - 1):
-        raise InternalInvariantError("transient exceeded the tree bound n(k+1)-1")
-    tau_max = res.max_tau()
-    attaining = res.taus == tau_max
     code = canonical_code(tree).hex()
-    records = []
-    for bits, period in sorted(
-        zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist())
-    ):
+    where = f"tree {code} edges={[[u + 1, v + 1] for u, v in tree.edges]} k={k} start"
+    res = sweep(tree, k)
+    bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
+    over = np.flatnonzero(res.taus > bound)
+    if over.size:
+        i = over[0]
+        raise InternalInvariantError(
+            f"{where} {Configuration(tree.n, int(res.start_bits[i]))}: expected tau <= {bound[i]}"
+            f" by the transient bounds, observed (tau, period) = ({res.taus[i]}, {res.periods[i]})"
+        )
+    tau_max = int(res.taus.max())
+    attaining = res.taus == tau_max
+    starts = tuple(zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist()))
+    for bits, period in starts:
         x = Configuration(tree.n, bits)
         for probe in (x, negate(x)):
             check = run_trajectory(tree, probe, k)
             if (check.tau, check.period) != (tau_max, period):
                 raise InternalInvariantError(
-                    f"sweep result for {probe} not reproduced by scalar run"
+                    f"{where} {probe}: expected (tau, period) = ({tau_max}, {period}) from "
+                    f"the sweep, observed ({check.tau}, {check.period}) from the scalar run"
                 )
-        records.append(ExtremalRecord(code, tree.edges, x, tau_max, int(period)))
-    orbit_count = len({config_orbit_code(tree, r.config) for r in records})
-    return SearchResult(
-        tree_code=code,
-        k=k,
-        tau_max=tau_max,
-        records=tuple(records),
-        raw_config_count=2 * len(records),
-        mod_negation_count=len(records),
-        orbit_count=orbit_count,
-    )
+    return SearchResult(tree, code, k, tau_max, starts)
 
 
 def expected_tree_count(n: int) -> int:
@@ -145,6 +159,7 @@ def expected_tree_count(n: int) -> int:
 class ConjectureReport:
     """Aggregate result of the exhaustive search over all trees for one n.
 
+    extremal holds the result of every tree attaining tau_max, by tree code.
     verdict is "pass" iff tau_max = n - 3 and the extremal tree count matches
     expected_tree_count. Configuration counts per extremal tree are reported
     raw, modulo negation, and modulo negation + automorphism, so the counting
@@ -157,11 +172,24 @@ class ConjectureReport:
     expected_tau_max: int
     tree_count: int
     expected_tree_count: int
-    extremal_records: tuple[ExtremalRecord, ...]
-    configs_per_tree_raw: dict[str, int]
-    configs_per_tree_mod_negation: dict[str, int]
+    extremal: tuple[SearchResult, ...]
     configs_per_tree_mod_automorphism: dict[str, int]
     verdict: str
+
+    @property
+    def extremal_records(self) -> tuple[ExtremalRecord, ...]:
+        """Every extremal record, by tree code and then configuration string."""
+        return tuple(
+            r for s in self.extremal for r in sorted(s.records, key=lambda r: r.config.to_string())
+        )
+
+    @property
+    def configs_per_tree_raw(self) -> dict[str, int]:
+        return {s.tree_code: s.raw_config_count for s in self.extremal}
+
+    @property
+    def configs_per_tree_mod_negation(self) -> dict[str, int]:
+        return {s.tree_code: s.mod_negation_count for s in self.extremal}
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,40 +200,41 @@ class ConjectureReport:
             "tree_count": self.tree_count,
             "expected_tree_count": self.expected_tree_count,
             "extremal_records": [r.to_json_dict() for r in self.extremal_records],
-            "configs_per_tree_raw": dict(sorted(self.configs_per_tree_raw.items())),
-            "configs_per_tree_mod_negation": dict(
-                sorted(self.configs_per_tree_mod_negation.items())
-            ),
-            "configs_per_tree_mod_automorphism": dict(
-                sorted(self.configs_per_tree_mod_automorphism.items())
-            ),
+            "configs_per_tree_raw": self.configs_per_tree_raw,
+            "configs_per_tree_mod_negation": self.configs_per_tree_mod_negation,
+            "configs_per_tree_mod_automorphism": self.configs_per_tree_mod_automorphism,
             "verdict": self.verdict,
         }
 
 
-# A tree summary is the unit of checkpointing and parallel work:
-# (code hex, 0-based edges, tau_max, ((config string, period), ...)).
-_TreeSummary = tuple[str, tuple[Edge, ...], int, tuple[tuple[str, int], ...]]
+def _search(task: tuple[Graph, int, int]) -> SearchResult:  # the pool's entry point
+    return max_transient_search(*task)
 
 
-def _summarize_tree(task: tuple[int, int, tuple[Edge, ...], int]) -> _TreeSummary:
-    n, k, edges, limit = task
-    tree = Graph.from_edges(n, edges)
-    found = max_transient_search(tree, k, limit)
-    configs = tuple((r.config.to_string(), r.period) for r in found.records)
-    return found.tree_code, tree.edges, found.tau_max, configs
+def _ledger_line(result: SearchResult) -> str:
+    return json.dumps(
+        {
+            "n": result.tree.n,
+            "k": result.k,
+            "code": result.tree_code,
+            "edges": [[u + 1, v + 1] for u, v in result.tree.edges],
+            "tau_max": result.tau_max,
+            "configs": [[Configuration(result.tree.n, b).to_string(), p] for b, p in result.starts],
+        },
+        sort_keys=True,
+    )
 
 
-def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, _TreeSummary], int]:
-    """Parse a ledger, returning the completed summaries and the byte offset
-    just past the last intact line.
+def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult], int]:
+    """Parse a ledger, returning the completed results by tree code and the
+    byte offset just past the last intact line.
 
     A final line without its terminating newline is a mid-write kill: it is
     dropped (that tree is recomputed) and the caller truncates the file to
     the returned offset so appended lines never concatenate onto the torn
     fragment. Corruption anywhere else raises ParseError.
     """
-    done: dict[str, _TreeSummary] = {}
+    done: dict[str, SearchResult] = {}
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -230,28 +259,17 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, _TreeSummary]
             raise ParseError(f"checkpoint line {index + 1} is corrupt") from None
         if not terminated:
             break  # the newline never landed; treat the write as incomplete
-        if entry.get("n") != n or entry.get("k") != k:
-            raise ParseError(f"checkpoint line {index + 1} belongs to a different run")
-        edges = tuple((u - 1, v - 1) for u, v in entry["edges"])
-        configs = tuple((c, int(p)) for c, p in entry["configs"])
-        done[entry["code"]] = (entry["code"], edges, int(entry["tau_max"]), configs)
+        if not isinstance(entry, dict) or (entry.get("n"), entry.get("k")) != (n, k):
+            raise ParseError(f"checkpoint line {index + 1} is not from the run n={n}, k={k}")
+        try:  # the inverse of _ledger_line
+            code, tau_max = entry["code"], int(entry["tau_max"])
+            tree = Graph.from_edges(n, [(u - 1, v - 1) for u, v in entry["edges"]])
+            starts = tuple((parse_config(c, n).bits, int(p)) for c, p in entry["configs"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"checkpoint line {index + 1} is malformed ({exc!r})") from None
+        done[code] = SearchResult(tree, code, k, tau_max, starts)
         valid_end = end + 1
     return done, valid_end
-
-
-def _checkpoint_line(summary: _TreeSummary, n: int, k: int) -> str:
-    code, edges, tau_max, configs = summary
-    return json.dumps(
-        {
-            "n": n,
-            "k": k,
-            "code": code,
-            "edges": [[u + 1, v + 1] for u, v in edges],
-            "tau_max": tau_max,
-            "configs": [[c, p] for c, p in configs],
-        },
-        sort_keys=True,
-    )
 
 
 def verify_conjecture(
@@ -273,71 +291,58 @@ def verify_conjecture(
         raise ValueError(f"n={n} above the exhaustive limit {limit}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    summaries: dict[str, _TreeSummary] = {}
-    valid_end = 0
-    if checkpoint_path is not None:
-        loaded, valid_end = _load_checkpoint(os.fspath(checkpoint_path), n, k)
-        summaries.update(loaded)
+    extremal: list[SearchResult] = []  # the trees at the highest tau_max so far, no others
 
-    pending = [
-        (n, k, tree.edges, limit)
-        for tree in enumerate_free_trees(n)
-        if canonical_code(tree).hex() not in summaries
-    ]
+    def keep(result: SearchResult) -> None:
+        top = extremal[0].tau_max if extremal else -1
+        if result.tau_max > top:
+            extremal.clear()
+        if result.tau_max >= top:
+            extremal.append(result)
 
-    ledger = None
+    done, ledger = {}, None
     if checkpoint_path is not None:
+        done, valid_end = _load_checkpoint(os.fspath(checkpoint_path), n, k)
         ledger = open(checkpoint_path, "a", encoding="utf-8")
         ledger.truncate(valid_end)  # drop any torn tail before appending
     try:
+        for result in done.values():
+            keep(result)
+        pending = [
+            (tree, k, limit)
+            for tree in enumerate_free_trees(n)
+            if canonical_code(tree).hex() not in done
+        ]
 
         def collect(produced) -> None:
-            for summary in produced:
-                summaries[summary[0]] = summary
+            for result in produced:
+                keep(result)
                 if ledger is not None:
-                    ledger.write(_checkpoint_line(summary, n, k) + "\n")
+                    ledger.write(_ledger_line(result) + "\n")
                     ledger.flush()
 
         if workers == 1 or len(pending) < 2:
-            collect(map(_summarize_tree, pending))
+            collect(map(_search, pending))
         else:
             with Pool(processes=workers) as pool:
                 chunk = max(1, len(pending) // (8 * workers))
-                collect(pool.imap_unordered(_summarize_tree, pending, chunksize=chunk))
+                collect(pool.imap_unordered(_search, pending, chunksize=chunk))
     finally:
         if ledger is not None:
             ledger.close()
 
-    tau_max = max(s[2] for s in summaries.values())
-    records: list[ExtremalRecord] = []
-    raw: dict[str, int] = {}
-    mod_neg: dict[str, int] = {}
-    mod_auto: dict[str, int] = {}
-    for code in sorted(summaries):
-        _, edges, tree_tau, configs = summaries[code]
-        if tree_tau != tau_max:
-            continue
-        tree = Graph.from_edges(n, edges)
-        orbit_codes = set()
-        for config_str, period in sorted(configs):
-            x = parse_config(config_str, n)
-            records.append(ExtremalRecord(code, edges, x, tau_max, period))
-            orbit_codes.add(config_orbit_code(tree, x))
-        raw[code] = 2 * len(configs)
-        mod_neg[code] = len(configs)
-        mod_auto[code] = len(orbit_codes)
-    verdict = "pass" if tau_max == n - 3 and len(raw) == expected_tree_count(n) else "fail"
+    extremal.sort(key=lambda s: s.tree_code)
+    tau_max = extremal[0].tau_max
+    verdict = "pass" if tau_max == n - 3 and len(extremal) == expected_tree_count(n) else "fail"
     return ConjectureReport(
         n=n,
         k=k,
         tau_max=tau_max,
         expected_tau_max=n - 3,
-        tree_count=len(raw),
+        tree_count=len(extremal),
         expected_tree_count=expected_tree_count(n),
-        extremal_records=tuple(records),
-        configs_per_tree_raw=raw,
-        configs_per_tree_mod_negation=mod_neg,
-        configs_per_tree_mod_automorphism=mod_auto,
+        extremal=tuple(extremal),
+        configs_per_tree_mod_automorphism={s.tree_code: s.orbit_count for s in extremal},
         verdict=verdict,
     )
 
@@ -435,8 +440,9 @@ def cross_validate_generator(
         if code in family_by_code:
             mismatches.append(f"family emits isomorphic duplicates ({code})")
         family_by_code[code] = (tree, x)
+    extremal = {found.tree_code: found for found in report.extremal}
     family_codes = tuple(sorted(family_by_code))
-    extremal_codes = tuple(sorted({r.tree_code for r in report.extremal_records}))
+    extremal_codes = tuple(sorted(extremal))
     codes_match = family_codes == extremal_codes and len(family_by_code) == len(family)
     if not codes_match:
         missing = set(extremal_codes) - set(family_codes)
@@ -448,13 +454,13 @@ def cross_validate_generator(
 
     configs_match = True
     for code, (tree, x) in sorted(family_by_code.items()):
-        found = [r for r in report.extremal_records if r.tree_code == code]
-        if not found:
+        found = extremal.get(code)
+        if found is None:
             configs_match = False
             continue  # already reported as a code mismatch
         # records live on the enumeration labeling, the family tree on its
         # own; orbit codes are the labeling-invariant comparison
-        orbits = {config_orbit_code(Graph.from_edges(n, r.tree_edges), r.config) for r in found}
+        orbits = {config_orbit_code(found.tree, r.config) for r in found.records}
         if orbits != {config_orbit_code(tree, x)}:
             configs_match = False
             mismatches.append(

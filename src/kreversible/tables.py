@@ -48,7 +48,7 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-start-configuration outcome of an exhaustive sweep."""
+    """Per-start-configuration outcome of an exhaustive sweep; starts increase."""
 
     n: int
     k: int
@@ -56,13 +56,6 @@ class SweepResult:
     taus: np.ndarray
     periods: np.ndarray
     plateau_energies: np.ndarray
-
-    def max_tau(self) -> int:
-        return int(self.taus.max())
-
-    def argmax_bits(self) -> np.ndarray:
-        """Start configurations attaining the maximum transient."""
-        return self.start_bits[self.taus == self.taus.max()]
 
 
 def sweep(g: Graph, k: int, *, half_space: bool = True) -> SweepResult:

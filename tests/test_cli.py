@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,10 +307,39 @@ def test_module_entrypoint(tmp_path):
     assert proc.stdout == "tau=0 period=2 E_final=1\n"
 
 
-def test_console_script_installed():
+SUBCOMMANDS = (
+    "simulate", "bounds", "energy-trace", "search", "conjecture", "generate", "validate-generator",
+)
+
+
+def test_console_script_installed(capsys):
+    # the entry point declared in pyproject.toml resolves to a callable that
+    # handles --help, whether or not the package is installed
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    section = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.split(" = ", 1) for line in section.strip().splitlines())
+    assert scripts == {"kreversible": '"kreversible.cli:main"'}
+    module, _, name = scripts["kreversible"].strip('"').partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(command in usage for command in SUBCOMMANDS)
+
+    # an installed executable, when there is one, behaves the same
     exe = shutil.which("kreversible")
-    assert exe is not None
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "simulate" in proc.stdout
-    assert "conjecture" in proc.stdout
+    if exe is not None:
+        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert all(command in proc.stdout for command in SUBCOMMANDS)
+
+
+def test_malformed_ledger_line_exits_two(capsys, tmp_path):
+    ledger = tmp_path / "bad.jsonl"
+    for bad in ('{"n": 6, "k": 2, "code": "ab"}', "[1, 2]"):
+        ledger.write_text(bad + "\n")
+        code, out, err = run_cli(capsys, "conjecture", "--n", "6", "--checkpoint", str(ledger))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: checkpoint line 1 ")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -9,6 +12,7 @@ from kreversible import (
     Configuration,
     ConjectureReport,
     Graph,
+    InternalInvariantError,
     ParseError,
     config_orbit_code,
     cross_validate_generator,
@@ -20,7 +24,8 @@ from kreversible import (
     sweep,
     verify_conjecture,
 )
-from kreversible.extremal import ExtremalRecord
+from kreversible import extremal
+from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
 from kreversible.trees import canonical_code
 
@@ -161,10 +166,30 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
         verify_conjecture(6, k=1, checkpoint_path=path)
 
     lines = path.read_text().splitlines()
-    lines[1] = "{ not json"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
-        verify_conjecture(6, checkpoint_path=path)
+    for bad in ("{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]"):
+        lines[1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="checkpoint line 2 "):
+            verify_conjecture(6, checkpoint_path=path)
+
+
+# sha256 of the n = 6 ledger's lines, sorted, each ending in a newline
+LEDGER_N6_SHA256 = "69754efb824eba51cf6262e441b510dbc9ffbc0dddad3305dca1f001960f9c51"
+LEDGER_N6_STAR = (
+    '{"code": "020201020102010201020101", "configs": [["+-----", 1], ["++----", 1], '
+    '["+-+---", 1], ["+--+--", 1], ["+---+-", 1], ["+----+", 1]], "edges": [[1, 2], '
+    '[1, 3], [1, 4], [1, 5], [1, 6]], "k": 2, "n": 6, "tau_max": 1}\n'
+)
+
+
+def test_checkpoint_line_format_golden(tmp_path):
+    # captured from an earlier writer: reader and writer drifting together
+    # would still pass a write-then-read round trip, but not this
+    path = tmp_path / "ledger.jsonl"
+    verify_conjecture(6, checkpoint_path=path)
+    lines = sorted(path.read_text().splitlines(keepends=True))
+    assert lines[0] == LEDGER_N6_STAR
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == LEDGER_N6_SHA256
 
 
 def test_worker_count_does_not_change_the_report():
@@ -274,9 +299,60 @@ def test_report_json_shape():
 
 def test_pool_worker_entrypoint_is_importable():
     # the multiprocessing path pickles the worker by qualified name
-    from kreversible.extremal import _summarize_tree
+    from kreversible.extremal import _search
 
     ctx = multiprocessing.get_start_method()
     assert ctx in {"fork", "spawn", "forkserver"}
-    out = _summarize_tree((5, 2, ((0, 1), (1, 2), (2, 3), (3, 4)), 16))
-    assert out[2] == 2
+    assert pickle.loads(pickle.dumps(_search)) is _search
+    out = _search((path_graph(5), 2, 16))
+    assert isinstance(out, SearchResult)
+    assert out.tau_max == 2
+
+
+def test_orbit_codes_only_for_reported_configurations(monkeypatch):
+    calls = []
+    real = extremal.config_orbit_code
+
+    def counting(g, x):
+        calls.append(x)
+        return real(g, x)
+
+    monkeypatch.setattr(extremal, "config_orbit_code", counting)
+    report = verify_conjecture(8)
+    assert len(calls) == len(report.extremal_records)
+
+
+def test_replay_mismatch_names_tree_k_and_start(monkeypatch, top_tree_n8):
+    real = extremal.run_trajectory
+
+    def off_by_one(g, x, k):
+        run = real(g, x, k)
+        return dataclasses.replace(run, tau=run.tau + 1)
+
+    monkeypatch.setattr(extremal, "run_trajectory", off_by_one)
+    with pytest.raises(InternalInvariantError) as exc:
+        max_transient_search(top_tree_n8, 2)
+    message = str(exc.value)
+    assert canonical_code(top_tree_n8).hex() in message
+    assert "[[1, 2], [2, 3]," in message  # 1-based edges
+    assert "k=2" in message
+    assert "start +-+-+-+-:" in message
+    assert "expected (tau, period) = (5, 1)" in message
+    assert "observed (6, 1)" in message
+
+
+def test_bound_violation_names_tree_k_and_start(monkeypatch):
+    real = extremal.sweep
+
+    def inflated(g, k):
+        res = real(g, k)
+        return dataclasses.replace(res, taus=res.taus + 100)
+
+    monkeypatch.setattr(extremal, "sweep", inflated)
+    with pytest.raises(InternalInvariantError) as exc:
+        max_transient_search(path_graph(5), 2)
+    message = str(exc.value)
+    assert canonical_code(path_graph(5)).hex() in message
+    assert "k=2 start +----:" in message  # the first swept start
+    assert "expected tau <= " in message
+    assert "observed (tau, period) = (100, 1)" in message
