@@ -6,10 +6,26 @@ configuration and the energy. A lockstep sweep then runs *every* initial
 configuration to its cycle at once, using the fact that the period is at
 most 2: the transient ends at the first t with x(t+2) = x(t).
 
+The tables are built from neighbourhood tables. Vertex v's flip bit and its
+energy term |op_v - k| depend only on the states of its closed neighbourhood
+N[v]. The 2^n index space is viewed as an array of shape (2,)*(n-L) + (2^L,)
+with L = n // 2: the low L bits form one contiguous trailing axis, and each
+high bit has an axis of its own (axis a holds bit n-1-a). Each vertex's
+formula is evaluated on every combination of the high bits in N[v] times all
+2^L low states, a sample whose other high axes have length 1. That local
+table broadcasts over the axes outside N[v], so the successor table (which
+starts as the identity; flip bits of different vertices never overlap) takes
+it with one in-place XOR and the energy table with one in-place add. The
+energy is summed in int16 when its bound allows and widened to int64 once at
+the end. No other temporary spans the whole space unless N[v] holds every
+high bit.
+
 Invariants are checked as the sweep runs — energy monotone over all 2^n
 transitions, transient within the proven step budget, period 1 or 2, energy
 constant for at most n consecutive steps before the transient ends — so a
-buggy table cannot produce silently wrong exhaustive results.
+buggy table cannot produce silently wrong exhaustive results. Each violation
+names the edges, k and the first offending start configuration, which one
+`kreversible simulate` call replays.
 """
 
 from __future__ import annotations
@@ -18,32 +34,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Configuration
 from .errors import InternalInvariantError
 from .graphs import Graph
 
-# 2^25 * (4 + 8) bytes per table is ~400 MB; refuse anything bigger.
+# The tables take 4 + 8 bytes per state, 2^25 * 12 B = 384 MiB at the cap.
+# Building them allocates no other array that wide on sparse graphs, apart
+# from a 2-byte energy partial sum for small k: the tables of a 22-vertex
+# tree peak at 90 MiB RSS, 48 MiB of them the tables. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
 
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays over all 2^n packed configurations."""
-    if g.n > MAX_TABLE_VERTICES:
-        raise ValueError(f"state tables need n <= {MAX_TABLE_VERTICES}, got {g.n}")
+    n = g.n
+    if n > MAX_TABLE_VERTICES:
+        raise ValueError(f"state tables need n <= {MAX_TABLE_VERTICES}, got {n}")
     if k < 1:
         raise ValueError(f"threshold k must be >= 1, got {k}")
-    size = 1 << g.n
-    states = np.arange(size, dtype=np.uint32)
-    full = np.uint32(size - 1)
-    flip = np.zeros(size, dtype=np.uint32)
-    energy = np.zeros(size, dtype=np.int64)
+    if n * (k + 1) > np.iinfo(np.int64).max:
+        # energies and the transient bound n*(k+1) - 1 are int64
+        raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")
+    low = n // 2
+    high = n - low
+    shape = (2,) * high + (1 << low,)
+    high_bits = np.arange(1 << high, dtype=np.uint32) << np.uint32(low)
+    high_bits = high_bits.reshape((2,) * high + (1,))
+    low_bits = np.arange(1 << low, dtype=np.uint32)
+    full = np.uint32((1 << n) - 1)
+    # each term |op_v - k| is at most max(k, n), so every partial sum of a
+    # state's energy fits in int16 whenever n * max(k, n) does
+    partial = np.int16 if n * max(k, n) <= np.iinfo(np.int16).max else np.int64
+    succ = np.arange(1 << n, dtype=np.uint32)
+    energy = np.zeros(1 << n, dtype=partial)
+    succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
     for v, mask in enumerate(g.neighbor_masks):
+        closed = mask | (1 << v)
+        # high bits outside N[v] are held at 0: the formula does not read them
+        sample = tuple(slice(None) if closed >> (n - 1 - a) & 1 else slice(1) for a in range(high))
+        states = high_bits[sample] | low_bits
         sign_v = (states >> np.uint32(v)) & np.uint32(1)
         # neighbors disagreeing with v: complement the state word where v is +1
         discord = (states ^ (sign_v * full)) & np.uint32(mask)
         op = np.bitwise_count(discord).astype(np.int64)
-        flip |= (op >= k).astype(np.uint32) << np.uint32(v)
-        energy += np.abs(op - k)
-    return states ^ flip, energy
+        succ_view ^= (op >= k).astype(np.uint32) << np.uint32(v)
+        energy_view += np.abs(op - k).astype(partial)
+    return succ, energy.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +100,19 @@ def sweep(g: Graph, k: int, *, half_space: bool = True) -> SweepResult:
     With half_space=True only starts with vertex 0 at +1 are swept; global
     negation maps the other half pointwise onto these, step for step.
     """
+
+    def violation(bits, what: str) -> InternalInvariantError:
+        edges = [[u + 1, v + 1] for u, v in g.edges]
+        start = Configuration(g.n, int(bits))
+        return InternalInvariantError(f"edges={edges} k={k} start {start}: {what}")
+
     succ, energy = state_tables(g, k)
-    if np.any(energy[succ] < energy):
-        raise InternalInvariantError("energy decreased across a transition")
+    decreased = energy[succ] < energy
+    if np.any(decreased):
+        x = int(np.argmax(decreased))
+        raise violation(
+            x, f"energy decreased across a transition, {energy[x]} -> {energy[succ[x]]}"
+        )
     size = 1 << g.n
     if half_space:
         start = (np.arange(size >> 1, dtype=np.uint32) << np.uint32(1)) | np.uint32(1)
@@ -104,12 +150,14 @@ def sweep(g: Graph, k: int, *, half_space: bool = True) -> SweepResult:
         x2 = succ[x1]
         flat = energy[x0] == prev_energy
         zero_run = np.where(flat, zero_run[keep] + 1, 0)
-        if np.any(zero_run > g.n):
-            raise InternalInvariantError(
-                "energy constant for more than n consecutive transient steps"
+        long_run = zero_run > g.n
+        if np.any(long_run):
+            raise violation(
+                start[active[np.argmax(long_run)]],
+                "energy constant for more than n consecutive transient steps",
             )
         t += 1
         if t > budget:
-            raise InternalInvariantError(
-                f"sweep exceeded the proven {budget}-step transient budget"
+            raise violation(
+                start[active[0]], f"sweep exceeded the proven {budget}-step transient budget"
             )

@@ -282,6 +282,26 @@ def test_usage_errors_exit_two(capsys, p3_file):
     assert code == 2
 
 
+def test_k_beyond_int64_tables_exits_two(capsys, p5_file):
+    huge = 1 << 62
+    largest = (2**63 - 1) // 5 - 1  # the largest k with 5 * (k + 1) in the int64 range
+    for k in (huge, largest + 1):
+        code, out, err = run_cli(capsys, "search", "--graph", p5_file, "--k", str(k))
+        assert (code, out) == (2, "")
+        assert err == f"error: n*(k+1) must fit in int64, got n=5 and k={k}\n"
+
+    code, out, err = run_cli(capsys, "search", "--graph", p5_file, "--k", str(largest))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"tree_code=02020201010202010101 k={largest} tau_max=0 ")
+
+    # the scalar engine has no fixed-width arithmetic: the same k simulates
+    code, out, err = run_cli(
+        capsys, "simulate", "--graph", p5_file, "--config", "+-+-+", "--k", str(huge)
+    )
+    assert (code, err) == (0, "")
+    assert out == f"tau=0 period=1 E_final={5 * huge - 8}\n"
+
+
 def test_argparse_rejections(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conjecture"])

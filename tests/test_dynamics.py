@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -180,17 +181,36 @@ def test_determinism(p3):
     assert a == b
 
 
+def crossing_path(n: int) -> Graph:
+    """A path that alternates high and low vertices, so that every edge joins
+    a bit below the engine's split L = n // 2 to a bit at or above it."""
+    low = n // 2
+    order = [v for pair in zip(range(low, n), range(low)) for v in pair]
+    order += range(2 * low, n)  # the one high vertex left over when n is odd
+    path = Graph.from_edges(n, list(zip(order, order[1:])))
+    assert all((u < low) != (v < low) for u, v in path.edges)
+    return path
+
+
 def test_state_tables_match_scalar_path():
     rng = random.Random(53)
-    graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(15)]
-    graphs.append(Graph.from_edges(1, []))
+    graphs = [Graph.from_edges(1, [])]
+    graphs += [Graph.from_edges(n, [(0, v) for v in range(1, n)]) for n in (2, 5, 8, 11)]
+    graphs += [Graph.from_edges(4, [(3, v) for v in range(3)])]  # star centred on a high bit
+    graphs += [Graph.from_edges(n, list(itertools.combinations(range(n), 2))) for n in range(2, 10)]
+    graphs += [crossing_path(11), crossing_path(12)]
+    graphs += [random_connected_graph(rng, n) for n in (2, 3, 5, 7, 9, 10, 11, 12, 12)]
     for g in graphs:
-        k = rng.randint(1, max(g.max_degree(), 1))
-        succ, energy = state_tables(g, k)
-        for bits in range(1 << g.n):
-            x = Configuration(g.n, bits)
-            assert succ[bits] == step(g, x, k).bits
-            assert energy[bits] == config_energy(g, x, k)
+        # far above every degree: the largest k whose energies the engine sums
+        # in int16, the smallest it sums in int64, and one needing 64 bits
+        top16 = np.iinfo(np.int16).max // g.n
+        for k in [*range(1, g.max_degree() + 2), top16, top16 + 1, 1 << 40]:
+            succ, energy = state_tables(g, k)
+            assert succ.dtype == np.uint32 and energy.dtype == np.int64
+            assert succ.shape == energy.shape == (1 << g.n,)
+            configs = [Configuration(g.n, bits) for bits in range(1 << g.n)]
+            assert succ.tolist() == [step(g, x, k).bits for x in configs]
+            assert energy.tolist() == [config_energy(g, x, k) for x in configs]
 
 
 def test_sweep_matches_scalar_trajectories():
@@ -217,6 +237,31 @@ def test_sweep_full_space_doubles_half_space():
         assert sorted(full.taus.tolist()) == sorted(half.taus.tolist() * 2)
         assert sorted(full.periods.tolist()) == sorted(half.periods.tolist() * 2)
         assert full.taus.max() == half.taus.max()
+
+
+def test_sweep_invariant_errors_name_edges_k_and_start(monkeypatch):
+    import kreversible.tables as tables
+
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    succ, energy = state_tables(p4, 1)
+    alternating = parse_config("+-+-", 4).bits
+    assert succ[alternating] != alternating
+    bumped = energy.copy()
+    bumped[alternating] += 100  # the one transition out of +-+- now loses energy
+    # 0 -> 1 -> ... -> 15, fixed at 15: one long transient for start +---
+    chain = np.minimum(np.arange(16, dtype=np.uint32) + 1, 15)
+    corrupted = {
+        "energy decreased across a transition, 102 -> 2": ((succ, bumped), "+-+-"),
+        "energy constant for more than n consecutive transient steps": (
+            (chain, np.zeros(16, dtype=np.int64)), "+---"),
+        "sweep exceeded the proven 13-step transient budget": (
+            (chain, np.arange(16, dtype=np.int64)), "+---"),
+    }
+    for what, (tables_, start) in corrupted.items():
+        monkeypatch.setattr(tables, "state_tables", lambda g, k, t=tables_: t)
+        with pytest.raises(InternalInvariantError) as caught:
+            sweep(p4, 1)
+        assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
 
 
 def test_sweep_rejects_oversized_graphs():

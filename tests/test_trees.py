@@ -16,6 +16,7 @@ from kreversible import (
     relabel,
     tree_centers,
 )
+from kreversible.trees import _canonical_key
 
 from conftest import random_tree
 
@@ -94,6 +95,36 @@ def test_enumerate_yields_valid_distinct_trees():
         assert len(set(codes)) == len(codes)
     with pytest.raises(ValueError):
         next(enumerate_free_trees(0))
+
+
+def free_tree_counts(limit: int) -> list[int]:
+    """Free trees on n = 1..limit vertices (OEIS A000055), by Otter's formula
+    (Otter, "The number of trees", Ann. Math. 1948) over the rooted-tree
+    counts r(n) (OEIS A000081), which satisfy
+    r(m + 1) = (1/m) * sum_{j=1..m} (sum_{d | j} d r(d)) r(m - j + 1)."""
+    r = [0, 1]
+    for m in range(1, limit):
+        total = sum(
+            sum(d * r[d] for d in range(1, j + 1) if j % d == 0) * r[m - j + 1]
+            for j in range(1, m + 1)
+        )
+        r.append(total // m)
+    counts = []
+    for n in range(1, limit + 1):
+        # r(n) less the unordered pairs of distinct rooted trees of i + j = n vertices
+        pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+        counts.append(r[n] - pairs // 2)
+    return counts
+
+
+def test_enumerate_counts_match_otter_formula():
+    # the conjecture runs up to n = 16, beyond the networkx comparison above
+    for n, count in enumerate(free_tree_counts(16), start=1):
+        trees = list(enumerate_free_trees(n))
+        assert len(trees) == count
+        intern: dict[tuple[int, ...], int] = {}
+        keys = {_canonical_key(n, list(g.edges), intern) for g in trees}
+        assert len(keys) == count
 
 
 def test_prufer_decode_against_networkx():
