@@ -6,6 +6,12 @@ ends in a fixed point or a 2-cycle; run_trajectory finds the exact transient
 length tau and period by hashing each configuration the first time it is
 seen.
 
+The flip rule and the energy sum |op - k| come from the same per-vertex
+count, so one pass over the vertices per state yields both: step,
+config_energy and run_trajectory all go through that pass. A trajectory is
+kept as packed states and their energies; its trace of Configuration
+objects is built each time it is read.
+
 Configurations are bit-packed: bit i set means vertex i holds state +1.
 """
 
@@ -84,40 +90,55 @@ def _check_compatible(g: Graph, x: Configuration) -> None:
         raise ValueError(f"graph has {g.n} vertices, configuration {x.n}")
 
 
-def _discord_mask(g: Graph, bits: int, v: int) -> int:
-    # neighbors of v whose state differs from v's
-    if (bits >> v) & 1:
-        return g.neighbor_masks[v] & ~bits
-    return g.neighbor_masks[v] & bits
+def _vertex_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
+    """(1 << v, neighbor mask of v) for every vertex v."""
+    return tuple((1 << v, mask) for v, mask in enumerate(g.neighbor_masks))
+
+
+def _flips_and_energy(pairs: tuple[tuple[int, int], ...], bits: int, k: int) -> tuple[int, int]:
+    """One pass over the vertices of state ``bits``: the mask of vertices with
+    op >= k (those that flip) and the energy sum of |op - k|."""
+    flip = energy = 0
+    inverted = ~bits
+    for bit, mask in pairs:
+        # neighbors whose state differs from this vertex's
+        op = (mask & (inverted if bits & bit else bits)).bit_count()
+        if op >= k:
+            flip |= bit
+            energy += op - k
+        else:
+            energy += k - op
+    return flip, energy
 
 
 def op_counts(g: Graph, x: Configuration) -> tuple[int, ...]:
     """Number of discordant neighbors of each vertex."""
     _check_compatible(g, x)
-    bits = x.bits
-    return tuple(_discord_mask(g, bits, v).bit_count() for v in range(g.n))
+    bits, inverted = x.bits, ~x.bits
+    return tuple(
+        (mask & (inverted if bits & bit else bits)).bit_count() for bit, mask in _vertex_pairs(g)
+    )
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"threshold k must be >= 1, got {k}")
 
 
 def step(g: Graph, x: Configuration, k: int) -> Configuration:
     """One synchronous update: flip exactly the vertices with op >= k."""
     _check_compatible(g, x)
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
-    bits = x.bits
-    flip = 0
-    for v in range(g.n):
-        if _discord_mask(g, bits, v).bit_count() >= k:
-            flip |= 1 << v
-    return Configuration(x.n, bits ^ flip)
+    _check_k(k)
+    flip, _ = _flips_and_energy(_vertex_pairs(g), x.bits, k)
+    return Configuration(x.n, x.bits ^ flip)
 
 
 def config_energy(g: Graph, x: Configuration, k: int) -> int:
     """Energy of a configuration: sum over vertices of |op - k|."""
     _check_compatible(g, x)
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
-    bits = x.bits
-    return sum(abs(_discord_mask(g, bits, v).bit_count() - k) for v in range(g.n))
+    _check_k(k)
+    _, energy = _flips_and_energy(_vertex_pairs(g), x.bits, k)
+    return energy
 
 
 class TraceStep(NamedTuple):
@@ -131,14 +152,25 @@ class TrajectoryResult:
     """Exact transient/period data for one trajectory.
 
     tau is the least t with x(t) on the cycle; period is the cycle length
-    (always 1 or 2); plateau_energy is the energy at and after tau. The trace
-    covers t = 0 .. tau + period, so its last entry repeats the entry at tau.
+    (always 1 or 2); plateau_energy is the energy at and after tau. states
+    and energies hold x(t) packed into an int and E(x(t)) for t = 0 .. tau +
+    period, so the last entry repeats the entry at tau; n is the vertex count.
     """
 
     tau: int
     period: int
     plateau_energy: int
-    trace: tuple[TraceStep, ...]
+    n: int
+    states: tuple[int, ...]
+    energies: tuple[int, ...]
+
+    @property
+    def trace(self) -> tuple[TraceStep, ...]:
+        """(t, x(t), E(x(t))) for every step, built on each read."""
+        return tuple(
+            TraceStep(t, Configuration(self.n, bits), energy)
+            for t, (bits, energy) in enumerate(zip(self.states, self.energies))
+        )
 
 
 def default_max_steps(g: Graph, k: int) -> int:
@@ -154,32 +186,42 @@ def run_trajectory(
     max_steps must be at least n*(max_degree+1) + 1, enough for the proven
     transient bound plus one full revisit; the default adds a little slack.
     A trajectory that fails to close within the budget, or closes with period
-    above 2, is mathematically impossible and raises InternalInvariantError.
+    above 2, is mathematically impossible and raises InternalInvariantError
+    naming the edges, k and the start configuration.
     """
     _check_compatible(g, x0)
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
+    _check_k(k)
     required = g.n * (g.max_degree() + 1) + 1
     if max_steps is None:
         max_steps = default_max_steps(g, k)
     elif max_steps < required:
         raise ValueError(f"max_steps={max_steps} below the guaranteed bound {required}")
-    seen: dict[int, int] = {}
-    trace: list[TraceStep] = []
-    x = x0
+
+    def violation(what: str) -> InternalInvariantError:
+        edges = [[u + 1, v + 1] for u, v in g.edges]
+        return InternalInvariantError(f"edges={edges} k={k} start {x0}: {what}")
+
+    pairs = _vertex_pairs(g)
+    seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
+    energies: list[int] = []
+    bits = x0.bits
     for t in range(max_steps + 1):
-        trace.append(TraceStep(t, x, config_energy(g, x, k)))
-        if x.bits in seen:
-            tau = seen[x.bits]
+        tau = seen.get(bits)
+        if tau is not None:
             period = t - tau
             if period not in (1, 2):
-                raise InternalInvariantError(f"detected period {period}, expected 1 or 2")
+                raise violation(f"detected period {period}, expected 1 or 2")
+            energies.append(energies[tau])
             return TrajectoryResult(
                 tau=tau,
                 period=period,
-                plateau_energy=trace[tau].energy,
-                trace=tuple(trace),
+                plateau_energy=energies[tau],
+                n=g.n,
+                states=(*seen, bits),
+                energies=tuple(energies),
             )
-        seen[x.bits] = t
-        x = step(g, x, k)
-    raise InternalInvariantError(f"no repeat within {max_steps} steps; transient bound violated")
+        seen[bits] = t
+        flip, energy = _flips_and_energy(pairs, bits, k)
+        energies.append(energy)
+        bits ^= flip
+    raise violation(f"no repeat within {max_steps} steps; transient bound violated")

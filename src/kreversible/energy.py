@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration, TrajectoryResult, op_counts, step
+from .dynamics import Configuration, TrajectoryResult, _check_k, op_counts
 from .errors import InternalInvariantError
 from .graphs import Graph, is_tree
 from .tables import state_tables
@@ -25,28 +25,31 @@ from .tables import state_tables
 VertexSet = frozenset[int]
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
+def _split(ops, k: int) -> tuple[VertexSet, VertexSet]:
+    s1 = frozenset(v for v, op in enumerate(ops) if op >= k)
+    return s1, frozenset(range(len(ops))) - s1
 
 
 def partition(g: Graph, x: Configuration, k: int) -> tuple[VertexSet, VertexSet]:
     """Split vertices into s1 = {op >= k} (about to flip) and s2 = the rest."""
     _check_k(k)
-    ops = op_counts(g, x)
-    s1 = frozenset(v for v in range(g.n) if ops[v] >= k)
-    return s1, frozenset(range(g.n)) - s1
+    return _split(op_counts(g, x), k)
 
 
 def _partitioned_sum(ops, s1: VertexSet, n: int, k: int) -> int:
     return sum(ops[v] - k if v in s1 else k - ops[v] for v in range(n))
 
 
+def _flipped(x: Configuration, s1: VertexSet) -> Configuration:
+    # s1 is exactly the set of vertices the next step flips
+    return Configuration(x.n, x.bits ^ sum(1 << v for v in s1))
+
+
 def energy(g: Graph, x: Configuration, k: int) -> int:
     """E = sum_{s1}(op - k) + sum_{s2}(k - op); a nonnegative integer."""
     _check_k(k)
     ops = op_counts(g, x)
-    s1, _ = partition(g, x, k)
+    s1, _ = _split(ops, k)
     return _partitioned_sum(ops, s1, g.n, k)
 
 
@@ -56,21 +59,13 @@ def energy_aux(g: Graph, x: Configuration, k: int) -> int:
     Always equals energy(g, x, k); the equality is what makes E monotone.
     """
     _check_k(k)
-    ops_next = op_counts(g, step(g, x, k))
     s1, _ = partition(g, x, k)
-    return _partitioned_sum(ops_next, s1, g.n, k)
+    return _partitioned_sum(op_counts(g, _flipped(x, s1)), s1, g.n, k)
 
 
-def edge_partition(g: Graph, x: Configuration, k: int) -> tuple[int, int, int]:
-    """Sizes (a, b, c) of the discordant edges inside s1, inside s2, and
-    crossing between them.
-
-    Self-checks the handshake identities sum_{s1} op = 2a + c and
-    sum_{s2} op = 2b + c before returning.
-    """
-    _check_k(k)
-    ops = op_counts(g, x)
-    s1, s2 = partition(g, x, k)
+def _edge_partition(
+    g: Graph, x: Configuration, ops, s1: VertexSet, s2: VertexSet
+) -> tuple[int, int, int]:
     a = b = c = 0
     for u, v in g.edges:
         if x.state(u) == x.state(v):
@@ -87,6 +82,18 @@ def edge_partition(g: Graph, x: Configuration, k: int) -> tuple[int, int, int]:
     if sum(ops[v] for v in s2) != 2 * b + c:
         raise InternalInvariantError("op sum over s2 differs from 2b + c")
     return a, b, c
+
+
+def edge_partition(g: Graph, x: Configuration, k: int) -> tuple[int, int, int]:
+    """Sizes (a, b, c) of the discordant edges inside s1, inside s2, and
+    crossing between them.
+
+    Self-checks the handshake identities sum_{s1} op = 2a + c and
+    sum_{s2} op = 2b + c before returning.
+    """
+    _check_k(k)
+    ops = op_counts(g, x)
+    return _edge_partition(g, x, ops, *_split(ops, k))
 
 
 @dataclass(frozen=True)
@@ -129,15 +136,14 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
     energy difference; both facts are checked here.
     """
     _check_k(k)
-    x_next = step(g, x, k)
     ops = op_counts(g, x)
-    ops_next = op_counts(g, x_next)
-    s1, s2 = partition(g, x, k)
+    s1, s2 = _split(ops, k)
+    ops_next = op_counts(g, _flipped(x, s1))
     e_now = _partitioned_sum(ops, s1, g.n, k)
     e_aux = _partitioned_sum(ops_next, s1, g.n, k)
     if e_aux != e_now:
         raise InternalInvariantError(f"auxiliary energy {e_aux} differs from energy {e_now}")
-    a, b, c = edge_partition(g, x, k)
+    a, b, c = _edge_partition(g, x, ops, s1, s2)
     deltas = []
     for v in range(g.n):
         now_s1 = v in s1

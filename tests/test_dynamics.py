@@ -11,6 +11,7 @@ from kreversible import (
     Graph,
     InternalInvariantError,
     ParseError,
+    TraceStep,
     config_energy,
     negate,
     op_counts,
@@ -179,6 +180,77 @@ def test_determinism(p3):
     a = run_trajectory(p3, parse_config("+-+", 3), 2)
     b = run_trajectory(p3, parse_config("+-+", 3), 2)
     assert a == b
+    # the trace is built from the packed states on each read
+    assert a.trace == b.trace
+    assert all(type(s) is TraceStep and type(s.config) is Configuration for s in a.trace)
+    assert [(s.config.bits, s.energy) for s in a.trace] == list(zip(a.states, a.energies))
+
+
+def reference_ops(g: Graph, states: list[int]) -> list[int]:
+    """op of each vertex of a +/-1 state list: neighbours in the other state."""
+    return [sum(states[u] != states[v] for u in g.adjacency[v]) for v in range(g.n)]
+
+
+def reference_step(g: Graph, states: list[int], k: int) -> list[int]:
+    ops = reference_ops(g, states)
+    return [-s if op >= k else s for s, op in zip(states, ops)]
+
+
+def reference_energy(g: Graph, states: list[int], k: int) -> int:
+    return sum(abs(op - k) for op in reference_ops(g, states))
+
+
+def reference_bits(states: list[int]) -> int:
+    return sum(1 << v for v, s in enumerate(states) if s == 1)
+
+
+def test_scalar_engine_matches_reference():
+    """op_counts, step, config_energy and run_trajectory against a reference
+    that works on +/-1 lists built from Graph.adjacency, not on bit masks."""
+    rng = random.Random(67)
+    graphs = [Graph.from_edges(1, [])]
+    graphs += [Graph.from_edges(n, [(0, v) for v in range(1, n)]) for n in range(2, 9)]
+    graphs += [Graph.from_edges(n, list(itertools.combinations(range(n), 2))) for n in range(2, 8)]
+    graphs += [random_connected_graph(rng, n) for n in (2, 3, 4, 5, 6, 7, 8, 8)]
+    for g in graphs:
+        for k in [*range(1, g.max_degree() + 2), 1 << 40]:
+            for start in itertools.product((-1, 1), repeat=g.n):
+                states = list(start)
+                x = Configuration(g.n, reference_bits(states))
+                assert x.states == start
+                assert list(op_counts(g, x)) == reference_ops(g, states)
+                assert step(g, x, k).bits == reference_bits(reference_step(g, states, k))
+                assert config_energy(g, x, k) == reference_energy(g, states, k)
+
+                walk = [states]
+                while walk[-1] not in walk[:-1]:
+                    walk.append(reference_step(g, walk[-1], k))
+                tau = walk.index(walk[-1])
+                expected = [
+                    (t, reference_bits(s), reference_energy(g, s, k)) for t, s in enumerate(walk)
+                ]
+                r = run_trajectory(g, x, k)
+                assert (r.tau, r.period) == (tau, len(walk) - 1 - tau)
+                assert r.plateau_energy == expected[tau][2]
+                assert [(s.t, s.config.bits, s.energy) for s in r.trace] == expected
+
+
+def test_trajectory_invariant_errors_name_edges_k_and_start(monkeypatch):
+    import kreversible.dynamics as dynamics
+
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cycle = {0: 1, 1: 2, 2: 0}
+    maps = {
+        "detected period 3, expected 1 or 2": lambda bits: cycle[bits],
+        "no repeat within 15 steps; transient bound violated": lambda bits: bits + 1,
+    }
+    for what, successor in maps.items():
+        monkeypatch.setattr(
+            dynamics, "_flips_and_energy", lambda pairs, bits, k, f=successor: (bits ^ f(bits), 0)
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            run_trajectory(p4, parse_config("----", 4), 1)
+        assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start ----: {what}"
 
 
 def crossing_path(n: int) -> Graph:
