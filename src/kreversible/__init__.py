@@ -13,7 +13,6 @@ from .dynamics import (
     TraceStep,
     TrajectoryResult,
     config_energy,
-    negate,
     op_counts,
     parse_config,
     run_trajectory,
@@ -24,11 +23,7 @@ from .energy import (
     EnergyBreakdown,
     bound_report,
     delta_energy_breakdown,
-    edge_partition,
-    energy,
-    energy_aux,
     max_tree_energy_check,
-    partition,
 )
 from .errors import InternalInvariantError, ParseError
 from .extremal import (
@@ -43,7 +38,7 @@ from .extremal import (
     max_transient_search,
     verify_conjecture,
 )
-from .graphs import Graph, is_tree, parse_edge_list, parse_graph6, relabel, to_edge_list
+from .graphs import Graph, is_tree, parse_edge_list
 from .tables import SweepResult, state_tables, sweep
 from .trees import (
     CanonicalCode,
@@ -77,29 +72,21 @@ __all__ = [
     "config_orbit_code",
     "cross_validate_generator",
     "delta_energy_breakdown",
-    "edge_partition",
-    "energy",
-    "energy_aux",
     "enumerate_free_trees",
     "expected_tree_count",
     "generate_extremal_family",
     "is_tree",
     "max_transient_search",
     "max_tree_energy_check",
-    "negate",
     "op_counts",
     "parse_config",
     "parse_edge_list",
-    "parse_graph6",
-    "partition",
     "prufer_oracle_trees",
     "prufer_to_edges",
-    "relabel",
     "run_trajectory",
     "state_tables",
     "step",
     "sweep",
-    "to_edge_list",
     "tree_centers",
     "verify_conjecture",
 ]

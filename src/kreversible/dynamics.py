@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InternalInvariantError, ParseError
+from .errors import ParseError, invariant_violation
 from .graphs import Graph
 
 _STATE_CHARS = {"+": 1, "1": 1, "-": 0, "0": 0}
@@ -53,10 +53,8 @@ class Configuration:
     def states(self) -> tuple[int, ...]:
         return tuple(1 if (self.bits >> i) & 1 else -1 for i in range(self.n))
 
-    def state(self, v: int) -> int:
-        return 1 if (self.bits >> v) & 1 else -1
-
     def negate(self) -> Configuration:
+        """Flip every vertex state. Dynamics commute with global negation."""
         return Configuration(self.n, self.bits ^ ((1 << self.n) - 1))
 
     def to_string(self) -> str:
@@ -78,11 +76,6 @@ def parse_config(text: str, n: int) -> Configuration:
             raise ParseError(f"illegal configuration character {c!r} at position {i + 1}")
         bits |= _STATE_CHARS[c] << i
     return Configuration(n, bits)
-
-
-def negate(x: Configuration) -> Configuration:
-    """Flip every vertex state. Dynamics commute with global negation."""
-    return x.negate()
 
 
 def _check_compatible(g: Graph, x: Configuration) -> None:
@@ -111,13 +104,16 @@ def _flips_and_energy(pairs: tuple[tuple[int, int], ...], bits: int, k: int) -> 
     return flip, energy
 
 
+def _ops(pairs: tuple[tuple[int, int], ...], bits: int) -> list[int]:
+    """op of every vertex of state ``bits``: its neighbors in the other state."""
+    inverted = ~bits
+    return [(mask & (inverted if bits & bit else bits)).bit_count() for bit, mask in pairs]
+
+
 def op_counts(g: Graph, x: Configuration) -> tuple[int, ...]:
     """Number of discordant neighbors of each vertex."""
     _check_compatible(g, x)
-    bits, inverted = x.bits, ~x.bits
-    return tuple(
-        (mask & (inverted if bits & bit else bits)).bit_count() for bit, mask in _vertex_pairs(g)
-    )
+    return tuple(_ops(_vertex_pairs(g), x.bits))
 
 
 def _check_k(k: int) -> None:
@@ -197,10 +193,6 @@ def run_trajectory(
     elif max_steps < required:
         raise ValueError(f"max_steps={max_steps} below the guaranteed bound {required}")
 
-    def violation(what: str) -> InternalInvariantError:
-        edges = [[u + 1, v + 1] for u, v in g.edges]
-        return InternalInvariantError(f"edges={edges} k={k} start {x0}: {what}")
-
     pairs = _vertex_pairs(g)
     seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
     energies: list[int] = []
@@ -210,7 +202,7 @@ def run_trajectory(
         if tau is not None:
             period = t - tau
             if period not in (1, 2):
-                raise violation(f"detected period {period}, expected 1 or 2")
+                raise invariant_violation(g, k, x0, f"detected period {period}, expected 1 or 2")
             energies.append(energies[tau])
             return TrajectoryResult(
                 tau=tau,
@@ -224,4 +216,6 @@ def run_trajectory(
         flip, energy = _flips_and_energy(pairs, bits, k)
         energies.append(energy)
         bits ^= flip
-    raise violation(f"no repeat within {max_steps} steps; transient bound violated")
+    raise invariant_violation(
+        g, k, x0, f"no repeat within {max_steps} steps; transient bound violated"
+    )

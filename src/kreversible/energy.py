@@ -1,12 +1,14 @@
-"""Energy accounting: E, the auxiliary E', edge partitions, per-vertex
-delta contributions, and the closed-form transient bounds.
+"""Energy accounting: the per-transition bookkeeping of E and the
+closed-form transient bounds.
 
 E splits the vertices into S1 = {op >= k} (flipping this step) and
 S2 = {op < k}, and charges each vertex its distance past/short of the
 threshold. E never decreases along a trajectory, which is what turns it into
-transient-length bounds. The auxiliary E' keeps the partition at time t but
-measures op at t+1; it always equals E, and the per-vertex delta accounting
-shows no vertex ever contributes negatively to E(t+1) - E(t). These
+transient-length bounds. delta_energy_breakdown is the one bookkeeping of a
+transition t -> t+1: E, the auxiliary E' (the partition at time t but op
+measured at t+1), S1/S2, the discordant-edge classes a/b/c and the
+per-vertex deltas are all fields of the EnergyBreakdown it returns. E' always
+equals E, and no vertex ever contributes negatively to E(t+1) - E(t). These
 identities are re-checked at runtime and raise InternalInvariantError on
 violation, since a failure is possible only through an implementation bug.
 """
@@ -17,83 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration, TrajectoryResult, _check_k, op_counts
-from .errors import InternalInvariantError
+from .dynamics import (
+    Configuration,
+    TrajectoryResult,
+    _check_compatible,
+    _check_k,
+    _ops,
+    _vertex_pairs,
+)
+from .errors import invariant_violation
 from .graphs import Graph, is_tree
 from .tables import state_tables
 
 VertexSet = frozenset[int]
-
-
-def _split(ops, k: int) -> tuple[VertexSet, VertexSet]:
-    s1 = frozenset(v for v, op in enumerate(ops) if op >= k)
-    return s1, frozenset(range(len(ops))) - s1
-
-
-def partition(g: Graph, x: Configuration, k: int) -> tuple[VertexSet, VertexSet]:
-    """Split vertices into s1 = {op >= k} (about to flip) and s2 = the rest."""
-    _check_k(k)
-    return _split(op_counts(g, x), k)
-
-
-def _partitioned_sum(ops, s1: VertexSet, n: int, k: int) -> int:
-    return sum(ops[v] - k if v in s1 else k - ops[v] for v in range(n))
-
-
-def _flipped(x: Configuration, s1: VertexSet) -> Configuration:
-    # s1 is exactly the set of vertices the next step flips
-    return Configuration(x.n, x.bits ^ sum(1 << v for v in s1))
-
-
-def energy(g: Graph, x: Configuration, k: int) -> int:
-    """E = sum_{s1}(op - k) + sum_{s2}(k - op); a nonnegative integer."""
-    _check_k(k)
-    ops = op_counts(g, x)
-    s1, _ = _split(ops, k)
-    return _partitioned_sum(ops, s1, g.n, k)
-
-
-def energy_aux(g: Graph, x: Configuration, k: int) -> int:
-    """E' = same sum with the partition taken at t but op measured at t+1.
-
-    Always equals energy(g, x, k); the equality is what makes E monotone.
-    """
-    _check_k(k)
-    s1, _ = partition(g, x, k)
-    return _partitioned_sum(op_counts(g, _flipped(x, s1)), s1, g.n, k)
-
-
-def _edge_partition(
-    g: Graph, x: Configuration, ops, s1: VertexSet, s2: VertexSet
-) -> tuple[int, int, int]:
-    a = b = c = 0
-    for u, v in g.edges:
-        if x.state(u) == x.state(v):
-            continue
-        ends_in_s1 = (u in s1) + (v in s1)
-        if ends_in_s1 == 2:
-            a += 1
-        elif ends_in_s1 == 0:
-            b += 1
-        else:
-            c += 1
-    if sum(ops[v] for v in s1) != 2 * a + c:
-        raise InternalInvariantError("op sum over s1 differs from 2a + c")
-    if sum(ops[v] for v in s2) != 2 * b + c:
-        raise InternalInvariantError("op sum over s2 differs from 2b + c")
-    return a, b, c
-
-
-def edge_partition(g: Graph, x: Configuration, k: int) -> tuple[int, int, int]:
-    """Sizes (a, b, c) of the discordant edges inside s1, inside s2, and
-    crossing between them.
-
-    Self-checks the handshake identities sum_{s1} op = 2a + c and
-    sum_{s2} op = 2b + c before returning.
-    """
-    _check_k(k)
-    ops = op_counts(g, x)
-    return _edge_partition(g, x, ops, *_split(ops, k))
 
 
 @dataclass(frozen=True)
@@ -128,42 +66,62 @@ class EnergyBreakdown:
 
 
 def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdown:
-    """Per-vertex contributions to E(t+1) - E(t).
+    """The energy bookkeeping of the transition x -> x(t+1).
 
-    A vertex that stays on its side of the threshold contributes 0; moving
-    s1 -> s2 contributes 2(k - op(t+1)); moving s2 -> s1 contributes
-    2(op(t+1) - k). Every contribution is >= 0 and they sum exactly to the
-    energy difference; both facts are checked here.
+    S1 is the bit mask of the vertices with op >= k, which is also the set
+    the step flips. a, b and c count the discordant edges inside S1, inside
+    S2 and between them from the edge list, not from op, so the handshake
+    identities sum_{S1} op = 2a + c and sum_{S2} op = 2b + c are real checks.
+    A vertex that stays on its side of the threshold contributes 0 to
+    E(t+1) - E(t); moving S1 -> S2 contributes 2(k - op(t+1)); moving
+    S2 -> S1 contributes 2(op(t+1) - k). E = E', both handshake identities,
+    the sum of the contributions and their sign are checked on every call.
     """
+    _check_compatible(g, x)
     _check_k(k)
-    ops = op_counts(g, x)
-    s1, s2 = _split(ops, k)
-    ops_next = op_counts(g, _flipped(x, s1))
-    e_now = _partitioned_sum(ops, s1, g.n, k)
-    e_aux = _partitioned_sum(ops_next, s1, g.n, k)
-    if e_aux != e_now:
-        raise InternalInvariantError(f"auxiliary energy {e_aux} differs from energy {e_now}")
-    a, b, c = _edge_partition(g, x, ops, s1, s2)
+    pairs = _vertex_pairs(g)
+    bits = x.bits
+    ops = _ops(pairs, bits)
+    s1 = sum(bit for (bit, _), op in zip(pairs, ops) if op >= k)
+    ops_next = _ops(pairs, bits ^ s1)
+
+    e_now = e_aux = e_next = op_sum_s1 = op_sum_s2 = 0
     deltas = []
-    for v in range(g.n):
-        now_s1 = v in s1
-        next_s1 = ops_next[v] >= k
-        if now_s1 == next_s1:
-            deltas.append(0)
-        elif now_s1:
-            deltas.append(2 * (k - ops_next[v]))
+    for op, op_next in zip(ops, ops_next):
+        e_next += abs(op_next - k)
+        if op >= k:  # in S1
+            e_now += op - k
+            e_aux += op_next - k
+            op_sum_s1 += op
+            deltas.append(0 if op_next >= k else 2 * (k - op_next))
         else:
-            deltas.append(2 * (ops_next[v] - k))
-    e_next = _partitioned_sum(ops_next, frozenset(v for v in range(g.n) if ops_next[v] >= k), g.n, k)
+            e_now += k - op
+            e_aux += k - op_next
+            op_sum_s2 += op
+            deltas.append(2 * (op_next - k) if op_next >= k else 0)
+
+    by_ends_in_s1 = [0, 0, 0]  # discordant edges with 0, 1 or 2 ends in S1
+    for u, v in g.edges:
+        if (bits >> u ^ bits >> v) & 1:
+            by_ends_in_s1[(s1 >> u & 1) + (s1 >> v & 1)] += 1
+    b, c, a = by_ends_in_s1
+
+    if e_aux != e_now:
+        raise invariant_violation(g, k, x, f"auxiliary energy {e_aux} differs from energy {e_now}")
+    if op_sum_s1 != 2 * a + c:
+        raise invariant_violation(g, k, x, "op sum over s1 differs from 2a + c")
+    if op_sum_s2 != 2 * b + c:
+        raise invariant_violation(g, k, x, "op sum over s2 differs from 2b + c")
     if sum(deltas) != e_next - e_now:
-        raise InternalInvariantError("per-vertex deltas do not sum to the energy difference")
-    if any(d < 0 for d in deltas):
-        raise InternalInvariantError("negative per-vertex energy contribution")
+        raise invariant_violation(g, k, x, "per-vertex deltas do not sum to the energy difference")
+    if min(deltas) < 0:
+        raise invariant_violation(g, k, x, "negative per-vertex energy contribution")
+    s1_set = frozenset(v for v, op in enumerate(ops) if op >= k)
     return EnergyBreakdown(
         op_now=tuple(ops),
         op_next=tuple(ops_next),
-        s1=s1,
-        s2=s2,
+        s1=s1_set,
+        s2=frozenset(range(g.n)) - s1_set,
         energy=e_now,
         energy_aux=e_aux,
         a_size=a,

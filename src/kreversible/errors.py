@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the message format of
+an invariant violation.
 
 ParseError covers anything wrong with user-supplied text (edge lists,
 configuration strings); the CLI maps it to exit code 2.
@@ -16,3 +17,15 @@ class ParseError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A provably-impossible condition was observed; indicates a bug."""
+
+
+def invariant_violation(
+    g, k: int, start, what: str, tree: str | None = None
+) -> InternalInvariantError:
+    """The error for an impossible condition reached from configuration
+    ``start`` on graph g at threshold k. It names the tree code (when given),
+    the 1-based edges, k and the start, which one `kreversible simulate` or
+    `kreversible energy-trace` call replays."""
+    edges = [[u + 1, v + 1] for u, v in g.edges]
+    where = f"tree {tree} " if tree is not None else ""
+    return InternalInvariantError(f"{where}edges={edges} k={k} start {start}: {what}")

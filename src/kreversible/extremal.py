@@ -29,8 +29,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .dynamics import Configuration, negate, parse_config, run_trajectory
-from .errors import InternalInvariantError, ParseError
+from .dynamics import Configuration, parse_config, run_trajectory
+from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, is_tree
 from .tables import sweep
 from .trees import canonical_code, enumerate_free_trees
@@ -125,27 +125,30 @@ def max_transient_search(
     if tree.n > limit:
         raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
     code = canonical_code(tree).hex()
-    where = f"tree {code} edges={[[u + 1, v + 1] for u, v in tree.edges]} k={k} start"
     res = sweep(tree, k)
     bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
     over = np.flatnonzero(res.taus > bound)
     if over.size:
         i = over[0]
-        raise InternalInvariantError(
-            f"{where} {Configuration(tree.n, int(res.start_bits[i]))}: expected tau <= {bound[i]}"
-            f" by the transient bounds, observed (tau, period) = ({res.taus[i]}, {res.periods[i]})"
+        raise invariant_violation(
+            tree, k, Configuration(tree.n, int(res.start_bits[i])),
+            f"expected tau <= {bound[i]} by the transient bounds, "
+            f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
+            tree=code,
         )
     tau_max = int(res.taus.max())
     attaining = res.taus == tau_max
     starts = tuple(zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist()))
     for bits, period in starts:
         x = Configuration(tree.n, bits)
-        for probe in (x, negate(x)):
+        for probe in (x, x.negate()):
             check = run_trajectory(tree, probe, k)
             if (check.tau, check.period) != (tau_max, period):
-                raise InternalInvariantError(
-                    f"{where} {probe}: expected (tau, period) = ({tau_max}, {period}) from "
-                    f"the sweep, observed ({check.tau}, {check.period}) from the scalar run"
+                raise invariant_violation(
+                    tree, k, probe,
+                    f"expected (tau, period) = ({tau_max}, {period}) from the sweep, "
+                    f"observed ({check.tau}, {check.period}) from the scalar run",
+                    tree=code,
                 )
     return SearchResult(tree, code, k, tau_max, starts)
 
@@ -232,7 +235,8 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
     A final line without its terminating newline is a mid-write kill: it is
     dropped (that tree is recomputed) and the caller truncates the file to
     the returned offset so appended lines never concatenate onto the torn
-    fragment. Corruption anywhere else raises ParseError.
+    fragment. Corruption anywhere else raises ParseError, and so does a line
+    whose code is not the canonical code of its edges.
     """
     done: dict[str, SearchResult] = {}
     try:
@@ -265,8 +269,13 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
             code, tau_max = entry["code"], int(entry["tau_max"])
             tree = Graph.from_edges(n, [(u - 1, v - 1) for u, v in entry["edges"]])
             starts = tuple((parse_config(c, n).bits, int(p)) for c, p in entry["configs"])
+            actual = canonical_code(tree).hex()
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint line {index + 1} is malformed ({exc!r})") from None
+        if code != actual:  # a wrong code would skip, and so drop, another tree
+            raise ParseError(
+                f"checkpoint line {index + 1} has code {code}, but its edges have code {actual}"
+            )
         done[code] = SearchResult(tree, code, k, tau_max, starts)
         valid_end = end + 1
     return done, valid_end
@@ -413,11 +422,7 @@ class CrossValidation:
 
 
 def cross_validate_generator(
-    n: int,
-    workers: int = 1,
-    checkpoint_path: str | os.PathLike | None = None,
-    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    report: ConjectureReport | None = None,
+    n: int, workers: int = 1, report: ConjectureReport | None = None
 ) -> CrossValidation:
     """Validate generate_extremal_family against the exhaustive search at
     k = 2. Failures land in the verdict, not in exceptions."""
@@ -432,7 +437,7 @@ def cross_validate_generator(
             mismatches.append(f"family tree {index} reaches tau={tau}, expected {n - 3}")
 
     if report is None:
-        report = verify_conjecture(n, 2, workers, checkpoint_path, limit)
+        report = verify_conjecture(n, 2, workers)
 
     family_by_code: dict[str, tuple[Graph, Configuration]] = {}
     for tree, x in family:

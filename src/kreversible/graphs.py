@@ -82,14 +82,8 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -147,47 +141,4 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u - 1, v - 1))
     if n is None:
         raise MalformedLineError("missing 'n=<int>' header line")
-    return Graph.from_edges(n, edges)
-
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize back to the 1-based edge-list format (round-trips with
-    parse_edge_list)."""
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
-    """Apply a vertex permutation: vertex i of g becomes perm[i]."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-def parse_graph6(text: str) -> Graph:
-    """Parse a single graph in graph6 ASCII format (n <= 62), as a convenience
-    for interop with standard graph tooling."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[10:]
-    data = [ord(c) - 63 for c in s]
-    if not data or any(not 0 <= b < 64 for b in data):
-        raise ParseError("invalid graph6 byte")
-    n = data[0]
-    if n > 62:
-        raise ParseError("only single-byte graph6 sizes (n <= 62) are supported")
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - 1 != need:
-        raise ParseError(f"graph6 body length {len(data) - 1}, expected {need}")
-    bits = []
-    for b in data[1:]:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
     return Graph.from_edges(n, edges)

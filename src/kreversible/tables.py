@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Configuration
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, invariant_violation
 from .graphs import Graph
 
 # The tables take 4 + 8 bytes per state, 2^25 * 12 B = 384 MiB at the cap.
@@ -94,17 +94,14 @@ class SweepResult:
     plateau_energies: np.ndarray
 
 
-def sweep(g: Graph, k: int, *, half_space: bool = True) -> SweepResult:
-    """Run every initial configuration to its cycle, in lockstep.
-
-    With half_space=True only starts with vertex 0 at +1 are swept; global
-    negation maps the other half pointwise onto these, step for step.
+def sweep(g: Graph, k: int) -> SweepResult:
+    """Run every initial configuration with vertex 0 at +1 to its cycle, in
+    lockstep; global negation maps the other half pointwise onto these, step
+    for step.
     """
 
     def violation(bits, what: str) -> InternalInvariantError:
-        edges = [[u + 1, v + 1] for u, v in g.edges]
-        start = Configuration(g.n, int(bits))
-        return InternalInvariantError(f"edges={edges} k={k} start {start}: {what}")
+        return invariant_violation(g, k, Configuration(g.n, int(bits)), what)
 
     succ, energy = state_tables(g, k)
     decreased = energy[succ] < energy
@@ -113,11 +110,7 @@ def sweep(g: Graph, k: int, *, half_space: bool = True) -> SweepResult:
         raise violation(
             x, f"energy decreased across a transition, {energy[x]} -> {energy[succ[x]]}"
         )
-    size = 1 << g.n
-    if half_space:
-        start = (np.arange(size >> 1, dtype=np.uint32) << np.uint32(1)) | np.uint32(1)
-    else:
-        start = np.arange(size, dtype=np.uint32)
+    start = (np.arange(1 << (g.n - 1), dtype=np.uint32) << np.uint32(1)) | np.uint32(1)
 
     m = len(start)
     taus = np.zeros(m, dtype=np.int64)

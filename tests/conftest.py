@@ -65,6 +65,24 @@ def triangle() -> Graph:
     return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
+# --- graph helpers used only by tests ---------------------------------------
+
+
+def to_edge_list(g: Graph) -> str:
+    """Serialize back to the 1-based edge-list format (round-trips with
+    parse_edge_list)."""
+    lines = [f"n={g.n}"]
+    lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
+    """Apply a vertex permutation: vertex i of g becomes perm[i]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 # --- randomized instance suite (shared by several criteria) ------------------
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -133,6 +134,40 @@ def test_energy_trace_lines(capsys, p3_file):
         assert entry["E_aux"] == entry["E"]
     for now, nxt in zip(lines, lines[1:]):
         assert now["E"] + now["delta"] == nxt["E"]
+
+
+# sha256 of stdout, captured from an earlier release: energy-trace reads every
+# field of the energy bookkeeping, simulate --trace the scalar engine's trace
+STDOUT_SHA256 = [
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "1"],
+     "e828f50ea191eae514f6764c844b740ad8ce3ded2c190e5166d7e8921ffeb481"),
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "2"],
+     "5aabf5a2a7f4aafa88960ab624d3b975aa5decaf184e33f639ddde46ad854033"),
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "3"],
+     "827f9fcf8eae899c90fe9deddf3aaf441592b40a43ede194930b89ab6af8ce3f"),
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "1"],
+     "95c65fcb7028a5dfe1c487fd8b3974e4eea8394159575f04bf259787ce8f50e0"),
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "2"],
+     "6998b75de757d8902e6dbcdd7a161b58355136220377fac13aa04fa4ee7800c5"),
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "3"],
+     "9cbd377098dddd3619a3721302e2dd24b6d4dfeaa860450bb5ff9b79a5e8810f"),
+    ("top", ["simulate", "--config", "+-+-+-+-", "--trace", "--format", "json"],
+     "71c062b26436ae0cdcb76043a93625ac7020249abede61a1a754da664d8017f6"),
+    ("top", ["simulate", "--config", "+-+-+-+-", "--trace"],
+     "b7680307881c65cc0be713ce6f15e67083a4abda4b20b5ce33db14398a5d2203"),
+    ("p3", ["simulate", "--config", "+-+", "--k", "1", "--trace"],
+     "bec5e0bdee9d7563e992b70ca6031b51c162ebad081f2926baa4c6ab7de38902"),
+    ("top", ["bounds", "--format", "json", "--config", "+-+-+-+-"],
+     "8987917a77c9f2dbfeefda0c9550396e047f2c804a946f4628c86d8cb282ed53"),
+]
+
+
+def test_outputs_match_goldens(capsys, p3_file, top_tree_file):
+    files = {"p3": p3_file, "top": top_tree_file}
+    for graph, (command, *options), digest in STDOUT_SHA256:
+        code, out, err = run_cli(capsys, command, "--graph", files[graph], *options)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, [command, *options]
 
 
 def test_search_text(capsys, top_tree_file):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -10,13 +12,9 @@ from kreversible import (
     bound_report,
     config_energy,
     delta_energy_breakdown,
-    edge_partition,
-    energy,
-    energy_aux,
+    enumerate_free_trees,
     max_tree_energy_check,
-    op_counts,
     parse_config,
-    partition,
     run_trajectory,
     step,
 )
@@ -25,19 +23,29 @@ from kreversible.graphs import Graph, parse_edge_list
 from conftest import random_connected_graph, random_tree
 
 
+def split(g, x, k):
+    b = delta_energy_breakdown(g, x, k)
+    return b.s1, b.s2
+
+
+def edge_classes(g, x, k):
+    b = delta_energy_breakdown(g, x, k)
+    return b.a_size, b.b_size, b.c_size
+
+
 def test_partition_p3(p3):
     x = parse_config("+-+", 3)
-    assert partition(p3, x, 1) == (frozenset({0, 1, 2}), frozenset())
-    assert partition(p3, x, 2) == (frozenset({1}), frozenset({0, 2}))
-    assert partition(p3, parse_config("+++", 3), 1) == (frozenset(), frozenset({0, 1, 2}))
+    assert split(p3, x, 1) == (frozenset({0, 1, 2}), frozenset())
+    assert split(p3, x, 2) == (frozenset({1}), frozenset({0, 2}))
+    assert split(p3, parse_config("+++", 3), 1) == (frozenset(), frozenset({0, 1, 2}))
 
 
 def test_energy_examples(p3):
     x = parse_config("+-+", 3)
-    assert energy(p3, x, 1) == 1  # |1-1| + |2-1| + |1-1|
-    assert energy(p3, x, 2) == 2  # middle contributes 0, endpoints 1 each
-    assert energy(p3, parse_config("+++", 3), 1) == 3
-    assert energy(p3, parse_config("+++", 3), 2) == 6
+    assert delta_energy_breakdown(p3, x, 1).energy == 1  # |1-1| + |2-1| + |1-1|
+    assert delta_energy_breakdown(p3, x, 2).energy == 2  # middle 0, endpoints 1 each
+    assert delta_energy_breakdown(p3, parse_config("+++", 3), 1).energy == 3
+    assert delta_energy_breakdown(p3, parse_config("+++", 3), 2).energy == 6
 
 
 def test_energy_matches_bit_route():
@@ -46,7 +54,7 @@ def test_energy_matches_bit_route():
         g = random_connected_graph(rng, rng.randint(2, 12))
         k = rng.randint(1, g.max_degree())
         x = Configuration(g.n, rng.randrange(1 << g.n))
-        assert energy(g, x, k) == config_energy(g, x, k)
+        assert delta_energy_breakdown(g, x, k).energy == config_energy(g, x, k)
 
 
 def test_energy_aux_equals_energy():
@@ -55,16 +63,16 @@ def test_energy_aux_equals_energy():
         g = random_connected_graph(rng, rng.randint(2, 12))
         k = rng.randint(1, g.max_degree())
         x = Configuration(g.n, rng.randrange(1 << g.n))
-        assert energy_aux(g, x, k) == energy(g, x, k)
+        assert delta_energy_breakdown(g, x, k).energy_aux == config_energy(g, x, k)
 
 
 def test_edge_partition_examples(p3):
     x = parse_config("+-+", 3)
     # k=1: everyone flips, so every discordant edge has both endpoints active
-    assert edge_partition(p3, x, 1) == (2, 0, 0)
+    assert edge_classes(p3, x, 1) == (2, 0, 0)
     # k=2: only the middle flips; both discordant edges straddle the split
-    assert edge_partition(p3, x, 2) == (0, 0, 2)
-    assert edge_partition(p3, parse_config("+++", 3), 2) == (0, 0, 0)
+    assert edge_classes(p3, x, 2) == (0, 0, 2)
+    assert edge_classes(p3, parse_config("+++", 3), 2) == (0, 0, 0)
 
 
 def test_edge_partition_counts_discordant_edges():
@@ -73,13 +81,11 @@ def test_edge_partition_counts_discordant_edges():
         g = random_connected_graph(rng, rng.randint(2, 12))
         k = rng.randint(1, g.max_degree())
         x = Configuration(g.n, rng.randrange(1 << g.n))
-        a, b, c = edge_partition(g, x, k)
-        discordant = sum(1 for u, v in g.edges if x.state(u) != x.state(v))
-        assert a + b + c == discordant
-        s1, s2 = partition(g, x, k)
-        ops = op_counts(g, x)
-        assert sum(ops[v] for v in s1) == 2 * a + c
-        assert sum(ops[v] for v in s2) == 2 * b + c
+        b = delta_energy_breakdown(g, x, k)
+        discordant = sum(1 for u, v in g.edges if x.states[u] != x.states[v])
+        assert b.a_size + b.b_size + b.c_size == discordant
+        assert sum(b.op_now[v] for v in b.s1) == 2 * b.a_size + b.c_size
+        assert sum(b.op_now[v] for v in b.s2) == 2 * b.b_size + b.c_size
 
 
 def test_breakdown_p3_example(p3):
@@ -91,7 +97,7 @@ def test_breakdown_p3_example(p3):
     assert b.s2 == frozenset({0, 2})
     assert (b.a_size, b.b_size, b.c_size) == (0, 0, 2)
     assert b.per_vertex_delta == (0, 4, 0)
-    assert energy(p3, step(p3, x, 2), 2) == b.energy + sum(b.per_vertex_delta)
+    assert config_energy(p3, step(p3, x, 2), 2) == b.energy + sum(b.per_vertex_delta)
 
 
 def test_breakdown_fixed_point_is_all_zero(p3):
@@ -109,7 +115,7 @@ def test_breakdown_random_consistency():
         b = delta_energy_breakdown(g, x, k)
         assert b.energy_aux == b.energy
         assert all(d >= 0 for d in b.per_vertex_delta)
-        assert sum(b.per_vertex_delta) == energy(g, step(g, x, k), k) - b.energy
+        assert sum(b.per_vertex_delta) == config_energy(g, step(g, x, k), k) - b.energy
         assert set(b.s1) | set(b.s2) == set(range(g.n))
         assert not set(b.s1) & set(b.s2)
 
@@ -178,8 +184,6 @@ def test_max_tree_energy_star():
 
 
 def test_max_tree_energy_all_small_trees():
-    from kreversible import enumerate_free_trees
-
     for n in range(2, 8):
         for tree in enumerate_free_trees(n):
             for k in range(1, tree.max_degree() + 1):
@@ -195,15 +199,15 @@ def test_max_tree_energy_rejects_non_tree(triangle):
 
 
 def test_self_check_cannot_be_tripped_normally():
-    # edge_partition's internal consistency check should never fire on valid
-    # inputs; exercise a broad sample to build confidence in the invariant
+    # the breakdown's consistency checks should never fire on valid inputs;
+    # exercise a broad sample to build confidence in the invariants
     rng = random.Random(97)
     for _ in range(200):
         g = random_tree(rng, rng.randint(2, 10))
         k = rng.randint(1, g.max_degree())
         x = Configuration(g.n, rng.randrange(1 << g.n))
         try:
-            edge_partition(g, x, k)
+            delta_energy_breakdown(g, x, k)
         except InternalInvariantError as exc:  # pragma: no cover
             pytest.fail(f"invariant tripped: {exc}")
 
@@ -211,5 +215,91 @@ def test_self_check_cannot_be_tripped_normally():
 def test_single_vertex_energy():
     g = Graph.from_edges(1, [])
     x = Configuration(1, 1)
-    assert energy(g, x, 1) == 1
-    assert partition(g, x, 1) == (frozenset(), frozenset({0}))
+    assert delta_energy_breakdown(g, x, 1).energy == 1
+    assert split(g, x, 1) == (frozenset(), frozenset({0}))
+
+
+def reference_breakdown(n: int, edges, states: list[int], k: int) -> dict:
+    """to_json_dict() of the breakdown, from the definitions: adjacency lists,
+    +/-1 states and plain sets, with no bit masks."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
+    def ops_of(s):
+        return [sum(1 for w in adjacency[v] if s[w] != s[v]) for v in range(n)]
+
+    op_now = ops_of(states)
+    s1 = {v for v in range(n) if op_now[v] >= k}
+    s2 = set(range(n)) - s1
+    op_next = ops_of([-s if v in s1 else s for v, s in enumerate(states)])
+
+    def side_term(v, op):  # the vertex's term under the split at time t
+        return op - k if v in s1 else k - op
+
+    discordant = [(u, v) for u, v in edges if states[u] != states[v]]
+    inside_s1 = sum(1 for u, v in discordant if {u, v} <= s1)
+    inside_s2 = sum(1 for u, v in discordant if {u, v} <= s2)
+    return {
+        "op_now": op_now,
+        "op_next": op_next,
+        "s1": sorted(v + 1 for v in s1),
+        "s2": sorted(v + 1 for v in s2),
+        "energy": sum(side_term(v, op_now[v]) for v in range(n)),
+        "energy_aux": sum(side_term(v, op_next[v]) for v in range(n)),
+        "a_size": inside_s1,
+        "b_size": inside_s2,
+        "c_size": len(discordant) - inside_s1 - inside_s2,
+        # E(t+1) - E' term by term: each vertex's term under the split at t+1
+        # minus its term under the split at t, both with op at t+1
+        "per_vertex_delta": [abs(op_next[v] - k) - side_term(v, op_next[v]) for v in range(n)],
+    }
+
+
+def test_breakdown_matches_reference():
+    """Every field of the breakdown against the definitions, on every start
+    of every tree with n <= 8, of K_n for n <= 6 and of 10 random connected
+    graphs with n <= 9, at every k in 1..max_degree+1."""
+    rng = random.Random(101)
+    graphs = [tree for n in range(1, 9) for tree in enumerate_free_trees(n)]
+    graphs += [Graph.from_edges(n, list(itertools.combinations(range(n), 2))) for n in range(1, 7)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(10)]
+    for g in graphs:
+        for k in range(1, max(g.degrees) + 2):
+            for start in itertools.product((-1, 1), repeat=g.n):
+                x = Configuration.from_states(start)
+                expected = reference_breakdown(g.n, g.edges, list(start), k)
+                assert delta_energy_breakdown(g, x, k).to_json_dict() == expected
+
+
+def test_breakdown_invariant_errors_name_edges_k_and_start(monkeypatch, p3):
+    import kreversible.energy as energy_module
+
+    x = parse_config("+-+", 3)
+    real = energy_module._ops
+    calls = []
+
+    def bumped_second_call(pairs, bits):  # the second call reads op at t+1
+        ops = real(pairs, bits)
+        calls.append(bits)
+        if len(calls) == 2:
+            ops[0] += 1
+        return ops
+
+    monkeypatch.setattr(energy_module, "_ops", bumped_second_call)
+    with pytest.raises(InternalInvariantError) as caught:
+        delta_energy_breakdown(p3, x, 2)
+    assert str(caught.value) == (
+        "edges=[[1, 2], [2, 3]] k=2 start +-+: auxiliary energy 1 differs from energy 2"
+    )
+    monkeypatch.undo()
+
+    # a, b and c come from the edge list and op from the neighbour masks, so
+    # an edge list that disagrees with the masks breaks a handshake identity
+    doubled = dataclasses.replace(p3, edges=p3.edges + ((0, 1),))
+    handshakes = {1: "op sum over s1 differs from 2a + c", 3: "op sum over s2 differs from 2b + c"}
+    for k, what in handshakes.items():
+        with pytest.raises(InternalInvariantError) as caught:
+            delta_energy_breakdown(doubled, x, k)
+        assert str(caught.value) == f"edges=[[1, 2], [2, 3], [1, 2]] k={k} start +-+: {what}"

@@ -21,7 +21,6 @@ from kreversible import (
     max_transient_search,
     parse_config,
     run_trajectory,
-    sweep,
     verify_conjecture,
 )
 from kreversible import extremal
@@ -116,8 +115,8 @@ def test_conjecture_raw_counts_match_full_space_sweep():
         if r.tree_code in seen:
             continue
         tree = Graph.from_edges(n, r.tree_edges)
-        full = sweep(tree, 2, half_space=False)
-        seen[r.tree_code] = int((full.taus == report.tau_max).sum())
+        taus = [run_trajectory(tree, Configuration(n, bits), 2).tau for bits in range(1 << n)]
+        seen[r.tree_code] = taus.count(report.tau_max)
     assert seen == report.configs_per_tree_raw
 
 
@@ -166,7 +165,11 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
         verify_conjecture(6, k=1, checkpoint_path=path)
 
     lines = path.read_text().splitlines()
-    for bad in ("{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]"):
+    # line 2 under line 3's code: a resume would skip line 3's tree and drop it
+    claims_other_tree = {**json.loads(lines[1]), "code": json.loads(lines[2])["code"]}
+    for bad in (
+        "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree)
+    ):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="checkpoint line 2 "):

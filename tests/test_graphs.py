@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
-from kreversible import Graph, is_tree, parse_edge_list, parse_graph6, relabel, to_edge_list
+from kreversible import Graph, is_tree, parse_edge_list
 from kreversible.graphs import (
     DuplicateEdgeError,
     MalformedLineError,
@@ -13,14 +12,14 @@ from kreversible.graphs import (
     VertexIndexError,
 )
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, relabel, to_edge_list
 
 
 def test_parse_basic(p3):
     assert p3.n == 3
     assert p3.edges == ((0, 1), (1, 2))
     assert p3.degrees == (1, 2, 1)
-    assert p3.neighbors(1) == (0, 2)
+    assert p3.adjacency[1] == (0, 2)
     assert p3.neighbor_masks == (0b010, 0b101, 0b010)
 
 
@@ -111,24 +110,7 @@ def test_adjacency_consistency():
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(2, 10))
         for v in range(g.n):
-            assert g.degree(v) == len(g.neighbors(v)) == g.neighbor_masks[v].bit_count()
-            for w in g.neighbors(v):
-                assert v in g.neighbors(w)
+            assert g.degrees[v] == len(g.adjacency[v]) == g.neighbor_masks[v].bit_count()
+            for w in g.adjacency[v]:
+                assert v in g.adjacency[w]
         assert sum(g.degrees) == 2 * g.num_edges
-
-
-def test_graph6_against_networkx():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 12)
-        h = nx.gnp_random_graph(n, 0.4, seed=rng.randrange(10**6))
-        text = nx.to_graph6_bytes(h, header=False).decode().strip()
-        g = parse_graph6(text)
-        assert g.n == n
-        assert set(g.edges) == {(min(u, v), max(u, v)) for u, v in h.edges()}
-
-
-def test_graph6_header_and_errors():
-    assert parse_graph6(">>graph6<<A_").num_edges == 1
-    with pytest.raises(ValueError):
-        parse_graph6("A")  # truncated body

@@ -13,12 +13,11 @@ from kreversible import (
     is_tree,
     prufer_oracle_trees,
     prufer_to_edges,
-    relabel,
     tree_centers,
 )
 from kreversible.trees import _canonical_key
 
-from conftest import random_tree
+from conftest import random_tree, relabel
 
 
 def test_centers():
