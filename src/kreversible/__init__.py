@@ -13,18 +13,11 @@ from .dynamics import (
     TraceStep,
     TrajectoryResult,
     config_energy,
-    op_counts,
     parse_config,
     run_trajectory,
     step,
 )
-from .energy import (
-    BoundReport,
-    EnergyBreakdown,
-    bound_report,
-    delta_energy_breakdown,
-    max_tree_energy_check,
-)
+from .energy import BoundReport, EnergyBreakdown, bound_report, delta_energy_breakdown
 from .errors import InternalInvariantError, ParseError
 from .extremal import (
     ConjectureReport,
@@ -40,20 +33,12 @@ from .extremal import (
 )
 from .graphs import Graph, is_tree, parse_edge_list
 from .tables import SweepResult, state_tables, sweep
-from .trees import (
-    CanonicalCode,
-    canonical_code,
-    enumerate_free_trees,
-    prufer_oracle_trees,
-    prufer_to_edges,
-    tree_centers,
-)
+from .trees import canonical_code, enumerate_free_trees
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CanonicalCode",
     "Configuration",
     "ConjectureReport",
     "CrossValidation",
@@ -77,16 +62,11 @@ __all__ = [
     "generate_extremal_family",
     "is_tree",
     "max_transient_search",
-    "max_tree_energy_check",
-    "op_counts",
     "parse_config",
     "parse_edge_list",
-    "prufer_oracle_trees",
-    "prufer_to_edges",
     "run_trajectory",
     "state_tables",
     "step",
     "sweep",
-    "tree_centers",
     "verify_conjecture",
 ]

@@ -178,7 +178,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_generator(args: argparse.Namespace) -> int:
-    outcome = cross_validate_generator(args.n, workers=args.workers)
+    outcome = cross_validate_generator(verify_conjecture(args.n, workers=args.workers))
     if args.format == "json":
         print(canonical_json(outcome.to_json_dict()))
     else:

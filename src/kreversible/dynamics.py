@@ -110,12 +110,6 @@ def _ops(pairs: tuple[tuple[int, int], ...], bits: int) -> list[int]:
     return [(mask & (inverted if bits & bit else bits)).bit_count() for bit, mask in pairs]
 
 
-def op_counts(g: Graph, x: Configuration) -> tuple[int, ...]:
-    """Number of discordant neighbors of each vertex."""
-    _check_compatible(g, x)
-    return tuple(_ops(_vertex_pairs(g), x.bits))
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"threshold k must be >= 1, got {k}")
@@ -169,30 +163,18 @@ class TrajectoryResult:
         )
 
 
-def default_max_steps(g: Graph, k: int) -> int:
-    """Step budget that provably suffices: n*(max_degree+1) + 3."""
-    return g.n * (g.max_degree() + 1) + 3
-
-
-def run_trajectory(
-    g: Graph, x0: Configuration, k: int, max_steps: int | None = None
-) -> TrajectoryResult:
+def run_trajectory(g: Graph, x0: Configuration, k: int) -> TrajectoryResult:
     """Iterate until the first repeated configuration and report tau/period.
 
-    max_steps must be at least n*(max_degree+1) + 1, enough for the proven
-    transient bound plus one full revisit; the default adds a little slack.
-    A trajectory that fails to close within the budget, or closes with period
-    above 2, is mathematically impossible and raises InternalInvariantError
-    naming the edges, k and the start configuration.
+    The step budget is n*(max_degree+1) + 3: the proven transient bound plus
+    one full revisit, and a little slack. A trajectory that fails to close
+    within it, or closes with period above 2, is mathematically impossible
+    and raises InternalInvariantError naming the edges, k and the start
+    configuration.
     """
     _check_compatible(g, x0)
     _check_k(k)
-    required = g.n * (g.max_degree() + 1) + 1
-    if max_steps is None:
-        max_steps = default_max_steps(g, k)
-    elif max_steps < required:
-        raise ValueError(f"max_steps={max_steps} below the guaranteed bound {required}")
-
+    max_steps = g.n * (g.max_degree() + 1) + 3
     pairs = _vertex_pairs(g)
     seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
     energies: list[int] = []

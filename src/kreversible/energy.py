@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import (
     Configuration,
     TrajectoryResult,
@@ -29,7 +27,6 @@ from .dynamics import (
 )
 from .errors import invariant_violation
 from .graphs import Graph, is_tree
-from .tables import state_tables
 
 VertexSet = frozenset[int]
 
@@ -177,19 +174,3 @@ def bound_report(g: Graph, k: int, traj: TrajectoryResult | None = None) -> Boun
         tree_max_energy=g.n * k if tree else None,
         plateau_bound=traj.plateau_energy + g.n - 1 if traj is not None else None,
     )
-
-
-def max_tree_energy_check(tree: Graph, k: int) -> tuple[int, tuple[Configuration, ...]]:
-    """Brute-force the energy over all 2^n configurations of a tree.
-
-    Returns the maximum and every attaining configuration. On a tree the
-    maximum is n*k, attained exactly by the two monochromatic states.
-    """
-    if not is_tree(tree):
-        raise ValueError("max-energy check is scoped to trees")
-    _, energy_table = state_tables(tree, k)
-    best = int(energy_table.max())
-    attain = tuple(
-        Configuration(tree.n, int(bits)) for bits in np.flatnonzero(energy_table == best)
-    )
-    return best, attain

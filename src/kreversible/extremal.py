@@ -17,7 +17,7 @@ generate_extremal_family builds the known extremal family directly: starting
 from the path on v_1..v_{n-1} with the extra leaf v_n attached at v_{n-2},
 edges are swapped one position at a time, every tree paired with the
 alternating configuration. cross_validate_generator checks this family
-against the brute-force search.
+against the report of the brute-force search.
 """
 
 from __future__ import annotations
@@ -244,31 +244,22 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
             raw = fh.read()
     except FileNotFoundError:
         return done, 0
-    valid_end = 0
-    cursor = 0
-    lines = raw.split(b"\n")
+    *lines, tail = raw.split(b"\n")  # every line but the tail ended in a newline
     for index, line_bytes in enumerate(lines):
-        end = cursor + len(line_bytes)
-        cursor = end + 1
-        terminated = index < len(lines) - 1  # split removed a "\n" after it
         if not line_bytes.strip():
-            if terminated:
-                valid_end = end + 1
             continue
         try:
             entry = json.loads(line_bytes.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
-            if not terminated:
-                break  # killed mid-write; recompute that tree
             raise ParseError(f"checkpoint line {index + 1} is corrupt") from None
-        if not terminated:
-            break  # the newline never landed; treat the write as incomplete
         if not isinstance(entry, dict) or (entry.get("n"), entry.get("k")) != (n, k):
             raise ParseError(f"checkpoint line {index + 1} is not from the run n={n}, k={k}")
         try:  # the inverse of _ledger_line
             code, tau_max = entry["code"], int(entry["tau_max"])
             tree = Graph.from_edges(n, [(u - 1, v - 1) for u, v in entry["edges"]])
             starts = tuple((parse_config(c, n).bits, int(p)) for c, p in entry["configs"])
+            if not starts:  # every tree attains its own maximum somewhere
+                raise ValueError("no attaining configuration")
             actual = canonical_code(tree).hex()
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint line {index + 1} is malformed ({exc!r})") from None
@@ -277,8 +268,7 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
                 f"checkpoint line {index + 1} has code {code}, but its edges have code {actual}"
             )
         done[code] = SearchResult(tree, code, k, tau_max, starts)
-        valid_end = end + 1
-    return done, valid_end
+    return done, len(raw) - len(tail)
 
 
 def verify_conjecture(
@@ -341,6 +331,18 @@ def verify_conjecture(
             ledger.close()
 
     extremal.sort(key=lambda s: s.tree_code)
+    for result in extremal:  # a ledger line is trusted only once it replays
+        if result.tree_code not in done:
+            continue
+        for bits, period in result.starts:
+            x = Configuration(n, bits)
+            check = run_trajectory(result.tree, x, k)
+            if (check.tau, check.period) != (result.tau_max, period):
+                raise ParseError(
+                    f"checkpoint entry for tree {result.tree_code}, start {x}, stores "
+                    f"(tau, period) = ({result.tau_max}, {period}), but it replays to "
+                    f"({check.tau}, {check.period})"
+                )
     tau_max = extremal[0].tau_max
     verdict = "pass" if tau_max == n - 3 and len(extremal) == expected_tree_count(n) else "fail"
     return ConjectureReport(
@@ -421,11 +423,13 @@ class CrossValidation:
         }
 
 
-def cross_validate_generator(
-    n: int, workers: int = 1, report: ConjectureReport | None = None
-) -> CrossValidation:
-    """Validate generate_extremal_family against the exhaustive search at
-    k = 2. Failures land in the verdict, not in exceptions."""
+def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
+    """Validate generate_extremal_family against the exhaustive search
+    report of its n at k = 2. Failures land in the verdict, not in
+    exceptions."""
+    if report.k != 2:
+        raise ValueError(f"the extremal family is claimed for k = 2, the report has k={report.k}")
+    n = report.n
     family = generate_extremal_family(n)
     mismatches: list[str] = []
 
@@ -435,9 +439,6 @@ def cross_validate_generator(
         if tau != n - 3:
             all_reach = False
             mismatches.append(f"family tree {index} reaches tau={tau}, expected {n - 3}")
-
-    if report is None:
-        report = verify_conjecture(n, 2, workers)
 
     family_by_code: dict[str, tuple[Graph, Configuration]] = {}
     for tree, x in family:

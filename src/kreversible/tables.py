@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration
+from .dynamics import Configuration, _check_k
 from .errors import InternalInvariantError, invariant_violation
 from .graphs import Graph
 
@@ -50,8 +50,7 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = g.n
     if n > MAX_TABLE_VERTICES:
         raise ValueError(f"state tables need n <= {MAX_TABLE_VERTICES}, got {n}")
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
+    _check_k(k)
     if n * (k + 1) > np.iinfo(np.int64).max:
         # energies and the transient bound n*(k+1) - 1 are int64
         raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")

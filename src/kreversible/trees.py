@@ -7,9 +7,7 @@ canonical under color-preserving isomorphism, which is how configuration
 orbits on a tree are counted.
 
 enumerate_free_trees generates every unlabeled tree exactly once via the
-canonical level-sequence successor method; prufer_oracle_trees is the slow
-independent oracle that decodes all n^(n-2) Prufer sequences and keeps one
-representative per isomorphism class.
+canonical level-sequence successor method.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from collections.abc import Iterator, Sequence
 from .errors import InternalInvariantError
 from .graphs import Edge, Graph, is_tree
 
-CanonicalCode = bytes
-
 # Rooted code bytes: one open byte per vertex (0x02, or 0x03 for the second
 # color), children codes in sorted order, then a 0x01 close byte.
 _OPEN = (b"\x02", b"\x03")
@@ -28,6 +24,8 @@ _CLOSE = b"\x01"
 
 
 def _centers_from_adjacency(n: int, adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The one or two middle vertices of a tree, left after peeling off its
+    leaves layer by layer."""
     if n == 1:
         return (0,)
     deg = [len(adjacency[v]) for v in range(n)]
@@ -43,14 +41,6 @@ def _centers_from_adjacency(n: int, adjacency: Sequence[Sequence[int]]) -> tuple
                     nxt.append(w)
         layer = nxt
     return tuple(sorted(layer))
-
-
-def tree_centers(g: Graph) -> tuple[int, ...]:
-    """The one or two middle vertices of a tree (endpoints of no longest
-    path's majority)."""
-    if not is_tree(g):
-        raise ValueError("centers are defined for trees only")
-    return _centers_from_adjacency(g.n, g.adjacency)
 
 
 def _bfs_order(n: int, adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -80,7 +70,7 @@ def _rooted_code(
     return code[root]
 
 
-def canonical_code(g: Graph, colors: Sequence[int] | None = None) -> CanonicalCode:
+def canonical_code(g: Graph, colors: Sequence[int] | None = None) -> bytes:
     """Isomorphism-invariant code of a tree, optionally 0/1-colored.
 
     Serialized as lowercase hex (``.hex()``) in reports.
@@ -181,118 +171,3 @@ def _enumerate_free_trees(n: int) -> Iterator[Graph]:
         levels = _free_tree_fixup(levels)
         yield _graph_from_levels(levels)
         levels = _rooted_successor(levels)
-
-
-# ---------------------------------------------------------------------------
-# Prufer-sequence oracle.
-# ---------------------------------------------------------------------------
-
-
-def prufer_to_edges(sequence: Sequence[int], n: int) -> list[Edge]:
-    """Decode a Prufer sequence (length n-2, entries in 0..n-1) into the
-    labeled tree's edge list, in O(n)."""
-    if n < 2:
-        raise ValueError("Prufer decoding needs n >= 2")
-    if len(sequence) != n - 2:
-        raise ValueError(f"sequence length must be n-2={n - 2}, got {len(sequence)}")
-    deg = [1] * n
-    for a in sequence:
-        if not 0 <= a < n:
-            raise ValueError(f"sequence entry {a} out of range 0..{n - 1}")
-        deg[a] += 1
-    edges: list[Edge] = []
-    ptr = 0
-    leaf = -1
-    for a in sequence:
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((leaf, a))
-        deg[a] -= 1
-        # a just became a leaf below the scan pointer: it is the next minimum
-        leaf = a if (deg[a] == 1 and a < ptr) else -1
-    if leaf < 0:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
-
-
-def _index_to_sequence(index: int, n: int) -> list[int]:
-    seq = [0] * (n - 2)
-    for i in range(n - 3, -1, -1):
-        index, seq[i] = divmod(index, n)
-    return seq
-
-
-def _advance_sequence(seq: list[int], n: int) -> None:
-    for i in range(len(seq) - 1, -1, -1):
-        seq[i] += 1
-        if seq[i] < n:
-            return
-        seq[i] = 0
-
-
-def _interned_rooted_key(
-    n: int, adjacency: list[list[int]], root: int, intern: dict[tuple[int, ...], int]
-) -> int:
-    order, parent = _bfs_order(n, adjacency, root)
-    child_keys: list[list[int]] = [[] for _ in range(n)]
-    key = [0] * n
-    for v in reversed(order):
-        t = tuple(sorted(child_keys[v]))
-        k = intern.get(t)
-        if k is None:
-            k = len(intern)
-            intern[t] = k
-        key[v] = k
-        if v != root:
-            child_keys[parent[v]].append(k)
-    return key[root]
-
-
-def _canonical_key(n: int, edges: list[Edge], intern: dict[tuple[int, ...], int]) -> int:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return min(
-        _interned_rooted_key(n, adjacency, r, intern)
-        for r in _centers_from_adjacency(n, adjacency)
-    )
-
-
-def prufer_oracle_trees(
-    n: int, sequence_range: tuple[int, int] | None = None
-) -> Iterator[Graph]:
-    """Slow independent oracle: decode every Prufer sequence and yield one
-    Graph per isomorphism class not seen before within this call.
-
-    ``sequence_range=(start, stop)`` restricts to a slice of the n^(n-2)
-    sequences (lexicographic index order) so callers can split the space by
-    index ranges across workers; slices deduplicate independently, so the
-    caller must merge by canonical_code.
-    """
-    if not 2 <= n <= 9:
-        raise ValueError("oracle domain is 2 <= n <= 9")
-    total = n ** (n - 2)
-    start, stop = (0, total) if sequence_range is None else sequence_range
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"sequence_range must lie within [0, {total}]")
-    return _prufer_oracle_scan(n, start, stop)
-
-
-def _prufer_oracle_scan(n: int, start: int, stop: int) -> Iterator[Graph]:
-    seq = _index_to_sequence(start, n)
-    intern: dict[tuple[int, ...], int] = {}
-    seen: set[int] = set()
-    for _ in range(start, stop):
-        edges = prufer_to_edges(seq, n)
-        key = _canonical_key(n, edges, intern)
-        if key not in seen:
-            seen.add(key)
-            yield Graph.from_edges(n, edges)
-        _advance_sequence(seq, n)

@@ -1,6 +1,8 @@
 """Shared fixtures: small graphs, the randomized trajectory suite, cached
-exhaustive reports, and the acceptance-criteria summary printed at the end
-of the run."""
+exhaustive reports, the acceptance-criteria summary printed at the end of
+the run, and the reference helpers the tests check the package against: the
+Prüfer-sequence oracle for tree enumeration and the brute-force maximum
+energy of a graph."""
 
 from __future__ import annotations
 
@@ -8,16 +10,21 @@ import os
 import random
 import time
 
+from collections.abc import Iterator, Sequence
+
+import numpy as np
 import pytest
 
 from kreversible import (
     Configuration,
     Graph,
+    is_tree,
     parse_edge_list,
-    prufer_to_edges,
     run_trajectory,
+    state_tables,
     verify_conjecture,
 )
+from kreversible.trees import _bfs_order, _centers_from_adjacency
 
 # --- acceptance bookkeeping -------------------------------------------------
 
@@ -81,6 +88,114 @@ def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def max_energy(g: Graph, k: int) -> tuple[int, tuple[Configuration, ...]]:
+    """The maximum energy over all 2^n configurations of a tree, by brute
+    force over the state tables, and every configuration attaining it."""
+    if not is_tree(g):
+        raise ValueError("the maximum-energy check is scoped to trees")
+    _, energy = state_tables(g, k)
+    best = int(energy.max())
+    return best, tuple(Configuration(g.n, int(bits)) for bits in np.flatnonzero(energy == best))
+
+
+# --- Prüfer-sequence oracle for tree enumeration (Prüfer 1918) ---------------
+
+
+def prufer_to_edges(sequence: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """Decode a Prüfer sequence (length n-2, entries in 0..n-1) into the
+    labeled tree's edge list, in O(n)."""
+    deg = [1] * n
+    for a in sequence:
+        deg[a] += 1
+    edges = []
+    ptr = 0
+    leaf = -1
+    for a in sequence:
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        edges.append((leaf, a))
+        deg[a] -= 1
+        # a just became a leaf below the scan pointer: it is the next minimum
+        leaf = a if (deg[a] == 1 and a < ptr) else -1
+    if leaf < 0:
+        while deg[ptr] != 1:
+            ptr += 1
+        leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges
+
+
+def _index_to_sequence(index: int, n: int) -> list[int]:
+    seq = [0] * (n - 2)
+    for i in range(n - 3, -1, -1):
+        index, seq[i] = divmod(index, n)
+    return seq
+
+
+def _advance_sequence(seq: list[int], n: int) -> None:
+    for i in range(len(seq) - 1, -1, -1):
+        seq[i] += 1
+        if seq[i] < n:
+            return
+        seq[i] = 0
+
+
+def _interned_rooted_key(
+    n: int, adjacency: list[list[int]], root: int, intern: dict[tuple[int, ...], int]
+) -> int:
+    order, parent = _bfs_order(n, adjacency, root)
+    child_keys: list[list[int]] = [[] for _ in range(n)]
+    key = [0] * n
+    for v in reversed(order):
+        t = tuple(sorted(child_keys[v]))
+        k = intern.get(t)
+        if k is None:
+            k = len(intern)
+            intern[t] = k
+        key[v] = k
+        if v != root:
+            child_keys[parent[v]].append(k)
+    return key[root]
+
+
+def canonical_key(n: int, edges: list[tuple[int, int]], intern: dict[tuple[int, ...], int]) -> int:
+    """Isomorphism class key of a tree: the smaller interned rooted key over
+    its centers. Keys are comparable only within one ``intern`` table."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return min(
+        _interned_rooted_key(n, adjacency, r, intern)
+        for r in _centers_from_adjacency(n, adjacency)
+    )
+
+
+def prufer_oracle_trees(n: int, sequence_range: tuple[int, int] | None = None) -> Iterator[Graph]:
+    """Decode every Prüfer sequence on n >= 2 vertices and yield one Graph
+    per isomorphism class not seen before within this call.
+
+    ``sequence_range=(start, stop)`` restricts to a slice of the n^(n-2)
+    sequences in lexicographic index order, so the space can be split across
+    processes; slices deduplicate independently, so callers merge by
+    canonical_code.
+    """
+    start, stop = (0, n ** (n - 2)) if sequence_range is None else sequence_range
+    seq = _index_to_sequence(start, n)
+    intern: dict[tuple[int, ...], int] = {}
+    seen: set[int] = set()
+    for _ in range(start, stop):
+        edges = prufer_to_edges(seq, n)
+        key = canonical_key(n, edges, intern)
+        if key not in seen:
+            seen.add(key)
+            yield Graph.from_edges(n, edges)
+        _advance_sequence(seq, n)
 
 
 # --- randomized instance suite (shared by several criteria) ------------------

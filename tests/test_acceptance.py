@@ -39,12 +39,10 @@ from kreversible import (
     expected_tree_count,
     generate_extremal_family,
     is_tree,
-    max_tree_energy_check,
-    prufer_oracle_trees,
     sweep,
 )
 
-from conftest import record_acceptance
+from conftest import max_energy, prufer_oracle_trees, record_acceptance
 
 
 @contextmanager
@@ -148,7 +146,7 @@ def test_criterion_4_tree_max_energy(small_trees):
         for tree in small_trees:
             full = (1 << tree.n) - 1
             for k in range(1, tree.max_degree() + 1):
-                best, attaining = max_tree_energy_check(tree, k)
+                best, attaining = max_energy(tree, k)
                 assert best == tree.n * k
                 assert sorted(x.bits for x in attaining) == [0, full]
                 cases += 1
@@ -237,9 +235,9 @@ def test_criterion_6_generator_goldens_and_cross_validation(conjecture_reports):
         assert [one_based(g) for g, _ in fam9] == FAMILY_N9_EDGES
         assert [x.to_string() for _, x in fam9] == ["+-+-+-+-+"] * 3
         for n in range(6, 14):
-            cv = cross_validate_generator(n, report=reports[n])
+            cv = cross_validate_generator(reports[n])
             assert cv.verdict == "pass", cv.mismatches
-        cv5 = cross_validate_generator(5, report=reports[5])
+        cv5 = cross_validate_generator(reports[5])
         assert cv5.verdict == "fail"
         assert cv5.all_reach_bound
         assert len(cv5.mismatches) == 2
@@ -257,7 +255,7 @@ def test_criterion_6_generator_goldens_and_cross_validation(conjecture_reports):
 )
 def test_criterion_6_predicted_n5_cross_validation(conjecture_reports):
     reports, _, _ = conjecture_reports
-    assert cross_validate_generator(5, report=reports[5]).verdict == "pass"
+    assert cross_validate_generator(reports[5]).verdict == "pass"
 
 
 def prufer_slice_codes(n: int, start: int, stop: int) -> set[bytes]:

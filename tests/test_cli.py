@@ -398,3 +398,44 @@ def test_malformed_ledger_line_exits_two(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error: checkpoint line 1 ")
+
+
+def test_edited_ledger_tau_max_exits_two(capsys, tmp_path):
+    # a ledger line that claims more than its tree reaches would otherwise
+    # become the report's only extremal tree, with verdict=fail and exit 3
+    ledger = tmp_path / "ledger.jsonl"
+    code, _, _ = run_cli(capsys, "conjecture", "--n", "7", "--checkpoint", str(ledger))
+    assert code == 0
+    lines = ledger.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[0])
+    assert entry["tau_max"] == 3
+    lines[0] = json.dumps({**entry, "tau_max": 9}, sort_keys=True) + "\n"
+    ledger.write_text("".join(lines))
+
+    code, out, err = run_cli(capsys, "conjecture", "--n", "7", "--checkpoint", str(ledger))
+    assert code == 2
+    assert out == ""
+    config, period = entry["configs"][0]
+    assert err == (
+        f"error: checkpoint entry for tree {entry['code']}, start {config}, stores "
+        f"(tau, period) = (9, {period}), but it replays to (3, {period})\n"
+    )
+
+
+PUBLIC_NAMES = [
+    "BoundReport", "Configuration", "ConjectureReport", "CrossValidation", "EnergyBreakdown",
+    "ExtremalRecord", "Graph", "InternalInvariantError", "ParseError", "SearchResult",
+    "SweepResult", "TraceStep", "TrajectoryResult", "bound_report", "canonical_code",
+    "config_energy", "config_orbit_code", "cross_validate_generator", "delta_energy_breakdown",
+    "enumerate_free_trees", "expected_tree_count", "generate_extremal_family", "is_tree",
+    "max_transient_search", "parse_config", "parse_edge_list", "run_trajectory",
+    "state_tables", "step", "sweep", "verify_conjecture",
+]
+
+
+def test_public_names():
+    # helpers that only tests use live in tests/, not in the package
+    import kreversible
+
+    assert sorted(kreversible.__all__) == PUBLIC_NAMES
+    assert all(hasattr(kreversible, name) for name in PUBLIC_NAMES)

@@ -13,14 +13,13 @@ from kreversible import (
     config_energy,
     delta_energy_breakdown,
     enumerate_free_trees,
-    max_tree_energy_check,
     parse_config,
     run_trajectory,
     step,
 )
 from kreversible.graphs import Graph, parse_edge_list
 
-from conftest import random_connected_graph, random_tree
+from conftest import max_energy, random_connected_graph, random_tree
 
 
 def split(g, x, k):
@@ -171,14 +170,14 @@ def test_bounds_hold_on_random_trajectories():
 
 
 def test_max_tree_energy_p3(p3):
-    best, attaining = max_tree_energy_check(p3, 1)
+    best, attaining = max_energy(p3, 1)
     assert best == 3
     assert {x.to_string() for x in attaining} == {"+++", "---"}
 
 
 def test_max_tree_energy_star():
     star = parse_edge_list("n=5\n1 2\n1 3\n1 4\n1 5\n")
-    best, attaining = max_tree_energy_check(star, 1)
+    best, attaining = max_energy(star, 1)
     assert best == 5
     assert len(attaining) == 2
 
@@ -187,7 +186,7 @@ def test_max_tree_energy_all_small_trees():
     for n in range(2, 8):
         for tree in enumerate_free_trees(n):
             for k in range(1, tree.max_degree() + 1):
-                best, attaining = max_tree_energy_check(tree, k)
+                best, attaining = max_energy(tree, k)
                 assert best == n * k
                 assert len(attaining) == 2
                 assert {x.bits for x in attaining} == {0, (1 << n) - 1}
@@ -195,7 +194,7 @@ def test_max_tree_energy_all_small_trees():
 
 def test_max_tree_energy_rejects_non_tree(triangle):
     with pytest.raises(ValueError):
-        max_tree_energy_check(triangle, 1)
+        max_energy(triangle, 1)
 
 
 def test_self_check_cannot_be_tripped_normally():

@@ -167,8 +167,10 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
     lines = path.read_text().splitlines()
     # line 2 under line 3's code: a resume would skip line 3's tree and drop it
     claims_other_tree = {**json.loads(lines[1]), "code": json.loads(lines[2])["code"]}
+    no_configs = {**json.loads(lines[1]), "configs": []}
     for bad in (
-        "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree)
+        "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree),
+        json.dumps(no_configs),
     ):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
@@ -228,17 +230,20 @@ def test_family_structure_and_transients():
 def test_cross_validation_passes_for_small_n():
     for n in (6, 7, 8):
         report = verify_conjecture(n)
-        cv = cross_validate_generator(n, report=report)
+        cv = cross_validate_generator(report)
         assert cv.verdict == "pass"
         assert cv.all_reach_bound
         assert cv.codes_match
         assert cv.configs_match
         assert cv.mismatches == ()
         assert cv.family_codes == cv.extremal_codes
+        assert cv.n == n
+    with pytest.raises(ValueError):
+        cross_validate_generator(verify_conjecture(6, k=3))
 
 
 def test_cross_validation_reports_the_n5_gap():
-    cv = cross_validate_generator(5)
+    cv = cross_validate_generator(verify_conjecture(5))
     assert cv.verdict == "fail"
     assert cv.all_reach_bound  # the generated tree itself is fine
     assert not cv.codes_match
