@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dynamics import parse_config, run_trajectory
 from .energy import bound_report, delta_energy_breakdown
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError
 from .extremal import (
     ExtremalRecord,
     cross_validate_generator,
@@ -37,8 +37,8 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
-def _trace_line(step) -> str:
-    return json.dumps({"t": step.t, "x": step.config.to_string(), "E": step.energy})
+def _trace_step(step) -> dict:
+    return {"t": step.t, "x": step.config.to_string(), "E": step.energy}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -52,14 +52,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "plateau_energy": result.plateau_energy,
         }
         if args.trace:
-            payload["trace"] = [
-                {"t": s.t, "x": s.config.to_string(), "E": s.energy} for s in result.trace
-            ]
+            payload["trace"] = [_trace_step(s) for s in result.trace]
         print(canonical_json(payload))
     else:
         if args.trace:
             for s in result.trace:
-                print(_trace_line(s))
+                print(json.dumps(_trace_step(s)))
         print(f"tau={result.tau} period={result.period} E_final={result.plateau_energy}")
     return EXIT_OK
 
@@ -261,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -1,11 +1,13 @@
 """Exhaustive maximum-transient search over unlabeled trees at k = 2.
 
 For each tree every initial configuration with vertex 1 fixed at +1 is swept
-(global negation covers the other half); the trees attaining the global
-maximum transient, together with all attaining configurations, become
-ExtremalRecords. verify_conjecture aggregates a full report for one n and
-compares against the expected pattern: tau_max = n - 3 and n/2 extremal
-trees for even n, (n-1)/2 - 1 for odd n.
+(global negation covers the other half) and checked against the transient
+bounds. verify_conjecture reports the trees attaining the global maximum
+transient, with all attaining configurations as ExtremalRecords, against the
+expected pattern: tau_max = n - 3 and n/2 extremal trees for even n,
+(n-1)/2 - 1 for odd n. Only then are the reported trees' attaining starts,
+and their negations, replayed through run_trajectory; for one tree,
+max_transient_search replays every start it returns.
 
 The per-tree work is embarrassingly parallel; results are merged by
 canonical code, so reports are byte-identical regardless of worker count.
@@ -13,11 +15,8 @@ An append-only JSONL checkpoint ledger makes long runs resumable: completed
 trees are skipped by canonical-code lookup, and a final line torn by a kill
 mid-write is dropped and truncated away before new results are appended.
 
-generate_extremal_family builds the known extremal family directly: starting
-from the path on v_1..v_{n-1} with the extra leaf v_n attached at v_{n-2},
-edges are swapped one position at a time, every tree paired with the
-alternating configuration. cross_validate_generator checks this family
-against the report of the brute-force search.
+generate_extremal_family builds the known extremal family directly, without
+searching; cross_validate_generator checks it against the search's report.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -109,17 +109,8 @@ class SearchResult:
         }
 
 
-def max_transient_search(
-    tree: Graph, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> SearchResult:
-    """Sweep every configuration of a tree (vertex 1 fixed at +1) and report
-    the maximum transient with all attaining configurations.
-
-    Every record is re-verified through the scalar trajectory path, and so is
-    its global negation — the raw count being twice the modulo-negation count
-    is checked, not assumed. Sweep-wide bound violations raise. Each error
-    names the tree, k and the start, which `kreversible simulate` replays.
-    """
+def _search(task: tuple[Graph, int, int]) -> SearchResult:  # step 1, the pool's entry point
+    tree, k, limit = task
     if not is_tree(tree):
         raise ValueError("extremal search is scoped to trees")
     if tree.n > limit:
@@ -139,18 +130,45 @@ def max_transient_search(
     tau_max = int(res.taus.max())
     attaining = res.taus == tau_max
     starts = tuple(zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist()))
-    for bits, period in starts:
-        x = Configuration(tree.n, bits)
-        for probe in (x, x.negate()):
-            check = run_trajectory(tree, probe, k)
-            if (check.tau, check.period) != (tau_max, period):
-                raise invariant_violation(
-                    tree, k, probe,
-                    f"expected (tau, period) = ({tau_max}, {period}) from the sweep, "
-                    f"observed ({check.tau}, {check.period}) from the scalar run",
-                    tree=code,
-                )
     return SearchResult(tree, code, k, tau_max, starts)
+
+
+def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False) -> None:
+    """Step 2: each stored start, then its negation, must run to (tau_max,
+    period) on the scalar engine; `runs` caps the number of runs. A miss
+    raises ParseError for a ledger result, else InternalInvariantError."""
+    n, negate = result.tree.n, (1 << result.tree.n) - 1  # xor with every bit set
+    probes = ((Configuration(n, b ^ flip), p) for b, p in result.starts for flip in (0, negate))
+    for x, period in islice(probes, runs):
+        run = run_trajectory(result.tree, x, result.k)
+        stored, seen = (result.tau_max, period), (run.tau, run.period)
+        if seen != stored and ledger:
+            raise ParseError(
+                f"checkpoint entry for tree {result.tree_code}, start {x}, stores "
+                f"(tau, period) = {stored}, but it replays to {seen}"
+            )
+        if seen != stored:
+            raise invariant_violation(
+                result.tree, result.k, x,
+                f"expected (tau, period) = {stored} from the sweep, observed {seen} from the "
+                "scalar run", tree=result.tree_code,
+            )
+
+
+def max_transient_search(
+    tree: Graph, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> SearchResult:
+    """Sweep every configuration of a tree (vertex 1 fixed at +1) and report
+    the maximum transient with all attaining configurations.
+
+    Every start is checked against the transient bounds, and every returned
+    start is replayed through the scalar trajectory path, together with its
+    global negation — the raw count being twice the modulo-negation count is
+    checked, not assumed. Each error names the tree, k and the start, which
+    `kreversible simulate` replays.
+    """
+    _replay(result := _search((tree, k, limit)))
+    return result
 
 
 def expected_tree_count(n: int) -> int:
@@ -210,10 +228,6 @@ class ConjectureReport:
         }
 
 
-def _search(task: tuple[Graph, int, int]) -> SearchResult:  # the pool's entry point
-    return max_transient_search(*task)
-
-
 def _ledger_line(result: SearchResult) -> str:
     return json.dumps(
         {
@@ -236,7 +250,8 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
     dropped (that tree is recomputed) and the caller truncates the file to
     the returned offset so appended lines never concatenate onto the torn
     fragment. Corruption anywhere else raises ParseError, and so does a line
-    whose code is not the canonical code of its edges.
+    whose code is not the canonical code of its edges or whose first start
+    does not replay to its stored (tau_max, period).
     """
     done: dict[str, SearchResult] = {}
     try:
@@ -268,6 +283,7 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
                 f"checkpoint line {index + 1} has code {code}, but its edges have code {actual}"
             )
         done[code] = SearchResult(tree, code, k, tau_max, starts)
+        _replay(done[code], runs=1, ledger=True)  # a line that over- or understates its tree
     return done, len(raw) - len(tail)
 
 
@@ -280,9 +296,10 @@ def verify_conjecture(
 ) -> ConjectureReport:
     """Exhaustively search every tree on n vertices and build the report.
 
-    The verdict compares against the k = 2 pattern (tau_max = n - 3 and the
-    expected extremal tree count); other k values run fine but the verdict
-    then simply records whether the k = 2 pattern happens to hold.
+    Trees are swept one by one; the scalar replay runs once the search is
+    done, on the reported trees only. The verdict compares against the k = 2
+    pattern (tau_max = n - 3 and the expected extremal tree count); other k
+    values run fine, the verdict then records whether the k = 2 pattern holds.
     """
     if n < 5:
         raise ValueError(f"the transient pattern is scoped to n >= 5, got n={n}")
@@ -331,18 +348,8 @@ def verify_conjecture(
             ledger.close()
 
     extremal.sort(key=lambda s: s.tree_code)
-    for result in extremal:  # a ledger line is trusted only once it replays
-        if result.tree_code not in done:
-            continue
-        for bits, period in result.starts:
-            x = Configuration(n, bits)
-            check = run_trajectory(result.tree, x, k)
-            if (check.tau, check.period) != (result.tau_max, period):
-                raise ParseError(
-                    f"checkpoint entry for tree {result.tree_code}, start {x}, stores "
-                    f"(tau, period) = ({result.tau_max}, {period}), but it replays to "
-                    f"({check.tau}, {check.period})"
-                )
+    for result in extremal:  # only the reported trees meet the scalar engine
+        _replay(result, ledger=result.tree_code in done)
     tau_max = extremal[0].tau_max
     verdict = "pass" if tau_max == n - 3 and len(extremal) == expected_tree_count(n) else "fail"
     return ConjectureReport(
@@ -433,12 +440,11 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
     family = generate_extremal_family(n)
     mismatches: list[str] = []
 
-    all_reach = True
     for index, (tree, x) in enumerate(family, start=1):
         tau = run_trajectory(tree, x, 2).tau
         if tau != n - 3:
-            all_reach = False
             mismatches.append(f"family tree {index} reaches tau={tau}, expected {n - 3}")
+    all_reach = not mismatches
 
     family_by_code: dict[str, tuple[Graph, Configuration]] = {}
     for tree, x in family:
@@ -450,13 +456,12 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
     family_codes = tuple(sorted(family_by_code))
     extremal_codes = tuple(sorted(extremal))
     codes_match = family_codes == extremal_codes and len(family_by_code) == len(family)
-    if not codes_match:
-        missing = set(extremal_codes) - set(family_codes)
-        extra = set(family_codes) - set(extremal_codes)
-        if missing:
-            mismatches.append(f"extremal trees not generated: {sorted(missing)}")
-        if extra:
-            mismatches.append(f"generated trees not extremal: {sorted(extra)}")
+    missing = set(extremal_codes) - set(family_codes)
+    extra = set(family_codes) - set(extremal_codes)
+    if missing:
+        mismatches.append(f"extremal trees not generated: {sorted(missing)}")
+    if extra:
+        mismatches.append(f"generated trees not extremal: {sorted(extra)}")
 
     configs_match = True
     for code, (tree, x) in sorted(family_by_code.items()):

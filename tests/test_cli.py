@@ -422,6 +422,28 @@ def test_edited_ledger_tau_max_exits_two(capsys, tmp_path):
     )
 
 
+
+def test_understated_ledger_tau_max_exits_two(capsys, tmp_path):
+    # a ledger line that claims less than its tree reaches would otherwise
+    # drop that tree from the report, with verdict=fail and exit 3
+    ledger = tmp_path / "ledger.jsonl"
+    code, _, _ = run_cli(capsys, "conjecture", "--n", "7", "--checkpoint", str(ledger))
+    assert code == 0
+    lines = ledger.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[1])
+    assert entry["tau_max"] == 4
+    lines[1] = json.dumps({**entry, "tau_max": 3}, sort_keys=True) + "\n"
+    ledger.write_text("".join(lines))
+
+    code, out, err = run_cli(capsys, "conjecture", "--n", "7", "--checkpoint", str(ledger))
+    assert code == 2
+    assert out == ""
+    config, period = entry["configs"][0]
+    assert err == (
+        f"error: checkpoint entry for tree {entry['code']}, start {config}, stores "
+        f"(tau, period) = (3, {period}), but it replays to (4, {period})\n"
+    )
+
 PUBLIC_NAMES = [
     "BoundReport", "Configuration", "ConjectureReport", "CrossValidation", "EnergyBreakdown",
     "ExtremalRecord", "Graph", "InternalInvariantError", "ParseError", "SearchResult",

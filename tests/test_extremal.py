@@ -16,6 +16,7 @@ from kreversible import (
     ParseError,
     config_orbit_code,
     cross_validate_generator,
+    enumerate_free_trees,
     expected_tree_count,
     generate_extremal_family,
     max_transient_search,
@@ -328,6 +329,74 @@ def test_orbit_codes_only_for_reported_configurations(monkeypatch):
     monkeypatch.setattr(extremal, "config_orbit_code", counting)
     report = verify_conjecture(8)
     assert len(calls) == len(report.extremal_records)
+
+
+def counting_replays(monkeypatch) -> list:
+    """Route extremal's run_trajectory through a counter; returns the calls."""
+    calls = []
+    real = extremal.run_trajectory
+
+    def counting(g, x, k):
+        calls.append(x)
+        return real(g, x, k)
+
+    monkeypatch.setattr(extremal, "run_trajectory", counting)
+    return calls
+
+
+def test_replay_only_for_reported_configurations(monkeypatch):
+    calls = counting_replays(monkeypatch)
+    report = verify_conjecture(9)
+    assert len(calls) == 2 * len(report.extremal_records)  # each start and its negation
+
+
+def test_replay_on_resume_adds_one_run_per_ledger_line(monkeypatch, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    fresh = verify_conjecture(9, checkpoint_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    kept = lines[: len(lines) // 2]
+    path.write_text("".join(kept))
+    calls = counting_replays(monkeypatch)
+    resumed = verify_conjecture(9, checkpoint_path=path)
+    assert resumed.to_json_dict() == fresh.to_json_dict()
+    assert len(calls) == 2 * len(resumed.extremal_records) + len(kept)
+
+
+def test_every_attaining_start_replays_for_n_up_to_11():
+    # the sweep's results, checked start by start against the scalar engine
+    # and for both signs; conjecture runs replay only the reported trees
+    replays = 0
+    for n in range(1, 12):
+        for k in (1, 2, 3):
+            for tree in enumerate_free_trees(n):
+                found = extremal._search((tree, k, n))
+                for bits, period in found.starts:
+                    x = Configuration(n, bits)
+                    for probe in (x, x.negate()):
+                        run = run_trajectory(tree, probe, k)
+                        assert (run.tau, run.period) == (found.tau_max, period), (tree, k, probe)
+                        replays += 1
+    assert replays == 168_346
+
+
+def test_conjecture_replay_mismatch_names_tree_k_and_start(monkeypatch):
+    first = verify_conjecture(8).extremal[0]  # the report's trees replay in code order
+    start = Configuration(8, first.starts[0][0])
+    real = extremal.run_trajectory
+
+    def off_by_one(g, x, k):
+        run = real(g, x, k)
+        return dataclasses.replace(run, tau=run.tau + 1)
+
+    monkeypatch.setattr(extremal, "run_trajectory", off_by_one)
+    with pytest.raises(InternalInvariantError) as exc:
+        verify_conjecture(8)
+    message = str(exc.value)
+    assert f"tree {first.tree_code} " in message
+    assert "edges=[[1, 2], " in message  # 1-based edges
+    assert "k=2" in message
+    assert f"start {start}:" in message
+    assert f"expected (tau, period) = (5, {first.starts[0][1]})" in message
 
 
 def test_replay_mismatch_names_tree_k_and_start(monkeypatch, top_tree_n8):
