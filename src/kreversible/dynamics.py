@@ -83,11 +83,6 @@ def _check_compatible(g: Graph, x: Configuration) -> None:
         raise ValueError(f"graph has {g.n} vertices, configuration {x.n}")
 
 
-def _vertex_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """(1 << v, neighbor mask of v) for every vertex v."""
-    return tuple((1 << v, mask) for v, mask in enumerate(g.neighbor_masks))
-
-
 def _flips_and_energy(pairs: tuple[tuple[int, int], ...], bits: int, k: int) -> tuple[int, int]:
     """One pass over the vertices of state ``bits``: the mask of vertices with
     op >= k (those that flip) and the energy sum of |op - k|."""
@@ -119,7 +114,7 @@ def step(g: Graph, x: Configuration, k: int) -> Configuration:
     """One synchronous update: flip exactly the vertices with op >= k."""
     _check_compatible(g, x)
     _check_k(k)
-    flip, _ = _flips_and_energy(_vertex_pairs(g), x.bits, k)
+    flip, _ = _flips_and_energy(g._vertex_pairs, x.bits, k)
     return Configuration(x.n, x.bits ^ flip)
 
 
@@ -127,7 +122,7 @@ def config_energy(g: Graph, x: Configuration, k: int) -> int:
     """Energy of a configuration: sum over vertices of |op - k|."""
     _check_compatible(g, x)
     _check_k(k)
-    _, energy = _flips_and_energy(_vertex_pairs(g), x.bits, k)
+    _, energy = _flips_and_energy(g._vertex_pairs, x.bits, k)
     return energy
 
 
@@ -175,7 +170,7 @@ def run_trajectory(g: Graph, x0: Configuration, k: int) -> TrajectoryResult:
     _check_compatible(g, x0)
     _check_k(k)
     max_steps = g.n * (g.max_degree() + 1) + 3
-    pairs = _vertex_pairs(g)
+    pairs = g._vertex_pairs
     seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
     energies: list[int] = []
     bits = x0.bits

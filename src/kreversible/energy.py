@@ -23,7 +23,6 @@ from .dynamics import (
     _check_compatible,
     _check_k,
     _ops,
-    _vertex_pairs,
 )
 from .errors import invariant_violation
 from .graphs import Graph, is_tree
@@ -76,7 +75,7 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
     """
     _check_compatible(g, x)
     _check_k(k)
-    pairs = _vertex_pairs(g)
+    pairs = g._vertex_pairs
     bits = x.bits
     ops = _ops(pairs, bits)
     s1 = sum(bit for (bit, _), op in zip(pairs, ops) if op >= k)

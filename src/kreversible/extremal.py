@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, is_tree
-from .tables import sweep
+from .tables import SweepResult, chunk_size, sweep, sweep_chunk
 from .trees import canonical_code, enumerate_free_trees
 
 DEFAULT_EXHAUSTIVE_LIMIT = 16
@@ -109,14 +109,16 @@ class SearchResult:
         }
 
 
-def _search(task: tuple[Graph, int, int]) -> SearchResult:  # step 1, the pool's entry point
-    tree, k, limit = task
+def _check_scope(tree: Graph, limit: int) -> None:
     if not is_tree(tree):
         raise ValueError("extremal search is scoped to trees")
     if tree.n > limit:
         raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
-    code = canonical_code(tree).hex()
-    res = sweep(tree, k)
+
+
+def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
+    """Step 1 for one tree, given its sweep: every start is checked against
+    the transient bounds, and the starts attaining the maximum are kept."""
     bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
     over = np.flatnonzero(res.taus > bound)
     if over.size:
@@ -131,6 +133,17 @@ def _search(task: tuple[Graph, int, int]) -> SearchResult:  # step 1, the pool's
     attaining = res.taus == tau_max
     starts = tuple(zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist()))
     return SearchResult(tree, code, k, tau_max, starts)
+
+
+def _search(task: tuple[tuple[tuple[Graph, str], ...], int, int]) -> list[SearchResult]:
+    """Step 1 for a chunk of same-n trees, each with its canonical code: one
+    sweep for the chunk, then each tree's result, in order. The pool's
+    entry point."""
+    chunk, k, limit = task
+    for tree, _ in chunk:
+        _check_scope(tree, limit)
+    sweeps = sweep_chunk([tree for tree, _ in chunk], k)
+    return [_result(tree, code, k, res) for (tree, code), res in zip(chunk, sweeps)]
 
 
 def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False) -> None:
@@ -167,7 +180,8 @@ def max_transient_search(
     checked, not assumed. Each error names the tree, k and the start, which
     `kreversible simulate` replays.
     """
-    _replay(result := _search((tree, k, limit)))
+    _check_scope(tree, limit)
+    _replay(result := _result(tree, canonical_code(tree).hex(), k, sweep(tree, k)))
     return result
 
 
@@ -325,24 +339,25 @@ def verify_conjecture(
         for result in done.values():
             keep(result)
         pending = [
-            (tree, k, limit)
+            (tree, code)
             for tree in enumerate_free_trees(n)
-            if canonical_code(tree).hex() not in done
+            if (code := canonical_code(tree).hex()) not in done
         ]
+        size = chunk_size(n)
+        tasks = [(tuple(pending[i : i + size]), k, limit) for i in range(0, len(pending), size)]
 
-        def collect(produced) -> None:
-            for result in produced:
+        def collect(chunks) -> None:
+            for result in chain.from_iterable(chunks):
                 keep(result)
                 if ledger is not None:
                     ledger.write(_ledger_line(result) + "\n")
                     ledger.flush()
 
-        if workers == 1 or len(pending) < 2:
-            collect(map(_search, pending))
+        if workers == 1 or len(tasks) < 2:
+            collect(map(_search, tasks))
         else:
             with Pool(processes=workers) as pool:
-                chunk = max(1, len(pending) // (8 * workers))
-                collect(pool.imap_unordered(_search, pending, chunksize=chunk))
+                collect(pool.imap_unordered(_search, tasks))
     finally:
         if ledger is not None:
             ledger.close()

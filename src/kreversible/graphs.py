@@ -9,6 +9,7 @@ labeled graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError
 
@@ -77,6 +78,12 @@ class Graph:
             degrees=tuple(len(nbrs) for nbrs in adjacency),
             neighbor_masks=tuple(masks),
         )
+
+    @cached_property
+    def _vertex_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(1 << v, neighbor mask of v) for every vertex v: what the scalar
+        dynamics walk on every step, built on first use and kept."""
+        return tuple((1 << v, mask) for v, mask in enumerate(self.neighbor_masks))
 
     @property
     def num_edges(self) -> int:

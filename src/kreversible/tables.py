@@ -6,6 +6,18 @@ configuration and the energy. A lockstep sweep then runs *every* initial
 configuration to its cycle at once, using the fact that the period is at
 most 2: the transient ends at the first t with x(t+2) = x(t).
 
+The sweep takes a chunk of graphs with one vertex count. Their tables are
+concatenated, state x of graph i becoming i << n | x, and one loop runs the
+starts of every graph, so numpy's per-call cost is paid once per chunk, not
+once per graph. A chunk's tables take at most CHUNK_TABLE_BYTES at 12 bytes
+per state; sweep(g, k) is the chunk of one graph. The loop compacts nothing
+per step: each start counts tau as its steps with x(t) != x(t+2), a count
+that stops once x(t) = x(t+2) puts x(t) on the cycle for good. Closed starts
+stay in the active arrays until at most half of them are still open; then
+the closed ones are written out, with the period from x(t) = x(t+1) and the
+plateau energy E(x(t)), and dropped. Each such pass at least halves the
+active set, so the compaction costs O(starts) in all.
+
 The tables are built from neighbourhood tables. Vertex v's flip bit and its
 energy term |op_v - k| depend only on the states of its closed neighbourhood
 N[v]. The 2^n index space is viewed as an array of shape (2,)*(n-L) + (2^L,)
@@ -20,16 +32,18 @@ energy is summed in int16 when its bound allows and widened to int64 once at
 the end. No other temporary spans the whole space unless N[v] holds every
 high bit.
 
-Invariants are checked as the sweep runs — energy monotone over all 2^n
-transitions, transient within the proven step budget, period 1 or 2, energy
-constant for at most n consecutive steps before the transient ends — so a
-buggy table cannot produce silently wrong exhaustive results. Each violation
-names the edges, k and the first offending start configuration, which one
-`kreversible simulate` call replays.
+Invariants are checked as the sweep runs, for each graph of a chunk —
+energy monotone over all 2^n transitions, transient within the graph's own
+proven budget of n(max_degree+1)+1 steps, period 1 or 2, energy constant for
+at most n consecutive steps before the transient ends — so a buggy table
+cannot produce silently wrong exhaustive results. Each violation names the
+offending graph's edges, k and its first offending start configuration,
+which one `kreversible simulate` call replays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +57,12 @@ from .graphs import Graph
 # from a 2-byte energy partial sum for small k: the tables of a 22-vertex
 # tree peak at 90 MiB RSS, 48 MiB of them the tables. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
+
+# A chunk of graphs is swept as one lockstep loop over their concatenated
+# tables, which take at most this many bytes so that they stay in a 2 MiB L2
+# cache: 21 trees at n = 13, 2 at n = 16, and from n = 17 on a chunk is a
+# single graph.
+CHUNK_TABLE_BYTES = 2 << 20
 
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,63 +113,108 @@ class SweepResult:
     plateau_energies: np.ndarray
 
 
+def chunk_size(n: int) -> int:
+    """How many n-vertex graphs one sweep_chunk call takes: as many as fit
+    their tables in CHUNK_TABLE_BYTES at 12 bytes per state, at least one."""
+    return max(1, CHUNK_TABLE_BYTES // (12 << n))
+
+
 def sweep(g: Graph, k: int) -> SweepResult:
     """Run every initial configuration with vertex 0 at +1 to its cycle, in
     lockstep; global negation maps the other half pointwise onto these, step
-    for step.
+    for step. The chunk of one graph.
     """
+    return sweep_chunk([g], k)[0]
 
-    def violation(bits, what: str) -> InternalInvariantError:
-        return invariant_violation(g, k, Configuration(g.n, int(bits)), what)
 
-    succ, energy = state_tables(g, k)
-    decreased = energy[succ] < energy
+def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
+    """Sweep graphs with one vertex count in one lockstep loop over their
+    concatenated tables; one SweepResult per graph, in order, each equal to
+    what sweep gives that graph alone. An invariant violation names the
+    graph it occurs on and that graph's first offending start.
+    """
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("a chunk takes graphs with one vertex count")
+    tables = [state_tables(g, k) for g in graphs]
+    if len(tables) == 1:  # no copy: one graph's tables may be the largest allowed
+        succ, energy = tables[0]
+    else:  # state x of graph i is i << n | x
+        succ = np.concatenate([s + np.uint32(i << n) for i, (s, _) in enumerate(tables)])
+        energy = np.concatenate([e for _, e in tables])
+
+    def violation(state, what: str) -> InternalInvariantError:
+        g = graphs[int(state) >> n]
+        return invariant_violation(g, k, Configuration(n, int(state) & ((1 << n) - 1)), what)
+
+    decreased = np.take(energy, succ) < energy
     if np.any(decreased):
         x = int(np.argmax(decreased))
         raise violation(
             x, f"energy decreased across a transition, {energy[x]} -> {energy[succ[x]]}"
         )
-    start = (np.arange(1 << (g.n - 1), dtype=np.uint32) << np.uint32(1)) | np.uint32(1)
 
-    m = len(start)
-    taus = np.zeros(m, dtype=np.int64)
-    periods = np.ones(m, dtype=np.int64)
-    plateaus = np.zeros(m, dtype=np.int64)
+    budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
+    least_budget = int(budgets.min())
+    m = len(graphs) << (n - 1)  # start j of graph i is position i << (n - 1) | j
+    taus = np.empty(m, dtype=np.int64)
+    periods = np.empty(m, dtype=np.int64)
+    plateaus = np.empty(m, dtype=np.int64)
 
-    budget = g.n * (g.max_degree() + 1) + 1
-    active = np.arange(m)
-    x0 = start.copy()
-    x1 = succ[x0]
-    x2 = succ[x1]
-    zero_run = np.zeros(m, dtype=np.int64)
+    # per active start: its position, x(t), x(t+1), x(t+2), E(x(t)), the
+    # steps t' < t with x(t') != x(t'+2), and the run of transient steps with
+    # constant energy that ends at t
+    pos = np.arange(m)
+    x0 = np.arange(m, dtype=np.uint32) << np.uint32(1) | np.uint32(1)
+    x1 = np.take(succ, x0)
+    x2 = np.take(succ, x1)
+    e0 = np.take(energy, x0)
+    tau = np.zeros(m, dtype=np.uint16)  # budgets stay below 2^10 up to MAX_TABLE_VERTICES
+    run = np.zeros(m, dtype=np.uint8)  # the sweep stops once a run passes n
     t = 0
     while True:
-        closed = x0 == x2
-        if np.any(closed):
-            done = active[closed]
-            taus[done] = t
-            periods[done] = np.where(x0[closed] == x1[closed], 1, 2)
-            plateaus[done] = energy[x0[closed]]
-        keep = ~closed
-        if not np.any(keep):
-            return SweepResult(
-                n=g.n, k=k, start_bits=start, taus=taus, periods=periods,
-                plateau_energies=plateaus,
+        # x(t) = x(t+2) puts x(t) on the cycle for good, so a closed start
+        # keeps its tau and the cycle gives its period and plateau energy
+        open_ = x0 != x2
+        still_open = np.count_nonzero(open_)
+        if 2 * still_open <= len(open_):  # retiring halves the active set at least
+            closed = np.flatnonzero(~open_)
+            done = pos.take(closed)
+            taus[done] = tau.take(closed)
+            periods[done] = np.where(x0.take(closed) == x1.take(closed), 1, 2)
+            plateaus[done] = e0.take(closed)
+            if not still_open:
+                break
+            kept = np.flatnonzero(open_)
+            pos, x0, x1, x2, e0, tau, run, open_ = (
+                a.take(kept) for a in (pos, x0, x1, x2, e0, tau, run, open_)
             )
-        active = active[keep]
-        prev_energy = energy[x0[keep]]
-        x0, x1 = x1[keep], x2[keep]
-        x2 = succ[x1]
-        flat = energy[x0] == prev_energy
-        zero_run = np.where(flat, zero_run[keep] + 1, 0)
-        long_run = zero_run > g.n
-        if np.any(long_run):
+        tau += open_
+        x0, x1 = x1, x2
+        x2 = np.take(succ, x1)
+        e1 = np.take(energy, x0)
+        run += np.uint8(1)
+        run *= open_ & (e1 == e0)
+        e0 = e1
+        if run.max() > n:
+            i = int(np.argmax(run > n))
             raise violation(
-                start[active[np.argmax(long_run)]],
-                "energy constant for more than n consecutive transient steps",
+                int(pos[i]) << 1 | 1, "energy constant for more than n consecutive transient steps"
             )
         t += 1
-        if t > budget:
-            raise violation(
-                start[active[0]], f"sweep exceeded the proven {budget}-step transient budget"
-            )
+        if t > least_budget:  # a start still open after t steps has tau >= t
+            over = open_ & (budgets.take(pos >> (n - 1)) < t)
+            if np.any(over):
+                i = int(np.argmax(over))
+                budget = budgets[int(pos[i]) >> (n - 1)]
+                raise violation(
+                    int(pos[i]) << 1 | 1,
+                    f"sweep exceeded the proven {budget}-step transient budget",
+                )
+
+    start = np.arange(1 << (n - 1), dtype=np.uint32) << np.uint32(1) | np.uint32(1)
+    start.flags.writeable = False  # shared by every graph's result
+    return [
+        SweepResult(n, k, start, taus[part], periods[part], plateaus[part])
+        for part in (slice(i << (n - 1), (i + 1) << (n - 1)) for i in range(len(graphs)))
+    ]

@@ -17,9 +17,11 @@ from kreversible import (
     parse_config,
     run_trajectory,
     step,
+    enumerate_free_trees,
     state_tables,
     sweep,
 )
+from kreversible import tables
 from conftest import random_connected_graph, random_tree, relabel
 
 
@@ -327,6 +329,85 @@ def test_sweep_invariant_errors_name_edges_k_and_start(monkeypatch):
         with pytest.raises(InternalInvariantError) as caught:
             sweep(p4, 1)
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
+
+
+def assert_same_sweep(chunked, alone):
+    assert chunked.n == alone.n and chunked.k == alone.k
+    for field in ("start_bits", "taus", "periods", "plateau_energies"):
+        a, b = getattr(chunked, field), getattr(alone, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def test_sweep_chunk_matches_sweep_per_graph():
+    # every free tree with n <= 10 at every k in 1..max degree + 1, swept in
+    # chunks of 1, 2, 3, ... trees so chunk boundaries fall everywhere
+    for n in range(1, 11):
+        trees = list(enumerate_free_trees(n))
+        for k in range(1, max(g.max_degree() for g in trees) + 2):
+            chosen = [g for g in trees if k <= g.max_degree() + 1]
+            sizes = itertools.cycle(range(1, 8))
+            i = 0
+            while i < len(chosen):
+                chunk = chosen[i : i + next(sizes)]
+                i += len(chunk)
+                results = tables.sweep_chunk(chunk, k)
+                assert len(results) == len(chunk)
+                for g, res in zip(chunk, results):
+                    assert_same_sweep(res, sweep(g, k))
+    # graphs with different maximum degrees, so with different step budgets
+    rng = random.Random(67)
+    graphs = [random_connected_graph(rng, 9) for _ in range(6)] + [random_tree(rng, 9)]
+    assert len({g.max_degree() for g in graphs}) > 2
+    for k in (1, 2, 4):
+        for g, res in zip(graphs, tables.sweep_chunk(graphs, k)):
+            assert_same_sweep(res, sweep(g, k))
+    with pytest.raises(ValueError):
+        tables.sweep_chunk([graphs[0], random_tree(rng, 8)], 1)
+
+
+def test_chunk_size_from_byte_cap():
+    assert [tables.chunk_size(n) for n in (13, 16, 17, 18, 22)] == [21, 2, 1, 1, 1]
+    for n in range(1, tables.MAX_TABLE_VERTICES + 1):
+        size = tables.chunk_size(n)
+        assert size == 1 or size * 12 << n <= tables.CHUNK_TABLE_BYTES < (size + 1) * 12 << n
+
+
+def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
+    # the single-graph corruptions above, on the third graph of five
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    chunk = [
+        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]),
+        p4,
+        Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)]),
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ]
+    succ, energy = state_tables(p4, 1)
+    bumped = energy.copy()
+    bumped[parse_config("+-+-", 4).bits] += 100
+    chain = np.minimum(np.arange(16, dtype=np.uint32) + 1, 15)
+    corrupted = {
+        "energy decreased across a transition, 102 -> 2": ((succ, bumped), "+-+-"),
+        "energy constant for more than n consecutive transient steps": (
+            (chain, np.zeros(16, dtype=np.int64)), "+---"),
+        # the star's budget is 17, P4's own is 13
+        "sweep exceeded the proven 13-step transient budget": (
+            (chain, np.arange(16, dtype=np.int64)), "+---"),
+    }
+    real = tables.state_tables
+    for what, (tables_, start) in corrupted.items():
+        monkeypatch.setattr(
+            tables, "state_tables", lambda g, k, t=tables_: t if g is p4 else real(g, k)
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            tables.sweep_chunk(chunk, 1)
+        assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
+    # the same chain within the star's budget of 17 steps is no violation
+    monkeypatch.setattr(
+        tables, "state_tables",
+        lambda g, k: (chain, np.arange(16, dtype=np.int64)) if g is chunk[0] else real(g, k),
+    )
+    assert tables.sweep_chunk(chunk, 1)[0].taus[0] == 14
 
 
 def test_sweep_rejects_oversized_graphs():

@@ -24,7 +24,7 @@ from kreversible import (
     run_trajectory,
     verify_conjecture,
 )
-from kreversible import extremal
+from kreversible import extremal, tables
 from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
 from kreversible.trees import canonical_code
@@ -198,7 +198,8 @@ def test_checkpoint_line_format_golden(tmp_path):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == LEDGER_N6_SHA256
 
 
-def test_worker_count_does_not_change_the_report():
+def test_worker_count_does_not_change_the_report(monkeypatch):
+    monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", 5 * 12 << 9)  # 10 chunks, not 1
     single = verify_conjecture(9, workers=1)
     pooled = verify_conjecture(9, workers=3)
     assert pooled.to_json_dict() == single.to_json_dict()
@@ -307,15 +308,57 @@ def test_report_json_shape():
 
 
 def test_pool_worker_entrypoint_is_importable():
-    # the multiprocessing path pickles the worker by qualified name
+    # the multiprocessing path pickles the worker by qualified name; a task
+    # is a chunk of (tree, canonical code) pairs, k and the limit
     from kreversible.extremal import _search
 
     ctx = multiprocessing.get_start_method()
     assert ctx in {"fork", "spawn", "forkserver"}
     assert pickle.loads(pickle.dumps(_search)) is _search
-    out = _search((path_graph(5), 2, 16))
-    assert isinstance(out, SearchResult)
-    assert out.tau_max == 2
+    chunk = tuple((g, canonical_code(g).hex()) for g in [path_graph(5), *enumerate_free_trees(5)])
+    out = _search(pickle.loads(pickle.dumps((chunk, 2, 16))))
+    assert all(isinstance(r, SearchResult) for r in out)
+    assert [(r.tree, r.tree_code) for r in out] == list(chunk)
+    assert out[0].tau_max == 2
+
+
+def test_canonical_code_once_per_enumerated_tree(monkeypatch):
+    calls = []
+    real = extremal.canonical_code
+
+    def counting(g, colors=None):
+        calls.append(colors)
+        return real(g, colors)
+
+    monkeypatch.setattr(extremal, "canonical_code", counting)
+    report = verify_conjecture(9)
+    trees = sum(1 for _ in enumerate_free_trees(9))
+    assert sum(colors is None for colors in calls) == trees
+    # config_orbit_code codes each reported configuration and its negation
+    assert len(calls) == trees + 2 * len(report.extremal_records)
+
+
+# sha256 of the n = 9 ledger's lines, sorted, each ending in a newline; captured from an
+# earlier writer that swept one tree at a time
+LEDGER_N9_SHA256 = "740cd74cc95c29a2ee31cc3b4c003021de402a0bceec2deb1c5b0e45726aff13"
+
+
+def test_resume_from_a_ledger_cut_inside_a_chunk(monkeypatch, tmp_path):
+    # chunks of 5 trees: 12 whole lines end two trees into the third chunk,
+    # and part of the 13th line follows, as a kill mid-write leaves it
+    monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", 5 * 12 << 9)
+    path = tmp_path / "ledger.jsonl"
+    fresh = verify_conjecture(9, checkpoint_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert hashlib.sha256("".join(sorted(lines)).encode()).hexdigest() == LEDGER_N9_SHA256
+    for workers in (1, 2):
+        path.write_text("".join(lines[:12]) + lines[12][: len(lines[12]) // 2])
+        resumed = verify_conjecture(9, workers=workers, checkpoint_path=path)
+        assert canonical_json(resumed.to_json_dict()) == canonical_json(fresh.to_json_dict())
+        healed = path.read_text().splitlines(keepends=True)
+        assert sorted(healed) == sorted(lines)
+        if workers == 1:  # the same trees in the same order
+            assert healed == lines
 
 
 def test_orbit_codes_only_for_reported_configurations(monkeypatch):
@@ -368,8 +411,8 @@ def test_every_attaining_start_replays_for_n_up_to_11():
     replays = 0
     for n in range(1, 12):
         for k in (1, 2, 3):
-            for tree in enumerate_free_trees(n):
-                found = extremal._search((tree, k, n))
+            chunk = tuple((tree, canonical_code(tree).hex()) for tree in enumerate_free_trees(n))
+            for (tree, _), found in zip(chunk, extremal._search((chunk, k, n))):
                 for bits, period in found.starts:
                     x = Configuration(n, bits)
                     for probe in (x, x.negate()):
