@@ -59,10 +59,11 @@ from .graphs import Graph
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
-# tables, which take at most this many bytes so that they stay in a 2 MiB L2
-# cache: 21 trees at n = 13, 2 at n = 16, and from n = 17 on a chunk is a
-# single graph.
-CHUNK_TABLE_BYTES = 2 << 20
+# tables, which take at most this many bytes: 5 trees at n = 13, 2 at n = 14,
+# and from n = 15 on a chunk is a single graph. The loop's other arrays take
+# about three times the tables' bytes, so the whole stays in a 2 MiB L2 cache
+# and adds under 1 MiB to the peak RSS of an n = 13 run.
+CHUNK_TABLE_BYTES = 512 << 10
 
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +137,15 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("a chunk takes graphs with one vertex count")
-    tables = [state_tables(g, k) for g in graphs]
-    if len(tables) == 1:  # no copy: one graph's tables may be the largest allowed
-        succ, energy = tables[0]
+    if len(graphs) == 1:  # no copy: one graph's tables may be the largest allowed
+        succ, energy = state_tables(graphs[0], k)
     else:  # state x of graph i is i << n | x
-        succ = np.concatenate([s + np.uint32(i << n) for i, (s, _) in enumerate(tables)])
-        energy = np.concatenate([e for _, e in tables])
+        succ = np.empty(len(graphs) << n, dtype=np.uint32)
+        energy = np.empty(len(graphs) << n, dtype=np.int64)
+        for i, g in enumerate(graphs):
+            part = slice(i << n, (i + 1) << n)
+            succ[part], energy[part] = state_tables(g, k)
+            succ[part] += np.uint32(i << n)
 
     def violation(state, what: str) -> InternalInvariantError:
         g = graphs[int(state) >> n]
@@ -156,20 +160,22 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
 
     budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
     least_budget = int(budgets.min())
-    m = len(graphs) << (n - 1)  # start j of graph i is position i << (n - 1) | j
-    taus = np.empty(m, dtype=np.int64)
-    periods = np.empty(m, dtype=np.int64)
-    plateaus = np.empty(m, dtype=np.int64)
+    half = 1 << (n - 1)
+    m = len(graphs) * half  # start j of graph i is at position i * half + j
+    taus = np.empty(m, dtype=np.uint16)  # budgets stay below 2^10 up to MAX_TABLE_VERTICES
+    cycle = np.empty(m, dtype=np.uint32)  # x(tau), where period and plateau are read
 
     # per active start: its position, x(t), x(t+1), x(t+2), E(x(t)), the
     # steps t' < t with x(t') != x(t'+2), and the run of transient steps with
     # constant energy that ends at t
     pos = np.arange(m)
-    x0 = np.arange(m, dtype=np.uint32) << np.uint32(1) | np.uint32(1)
+    x0 = (2 * pos + 1).astype(np.uint32)  # graph i's start j, i << n | j << 1 | 1
+    start = x0[:half].copy()  # graph 0's states are its own bits
+    start.flags.writeable = False  # shared by every graph's result
     x1 = np.take(succ, x0)
     x2 = np.take(succ, x1)
     e0 = np.take(energy, x0)
-    tau = np.zeros(m, dtype=np.uint16)  # budgets stay below 2^10 up to MAX_TABLE_VERTICES
+    tau = np.zeros(m, dtype=np.uint16)
     run = np.zeros(m, dtype=np.uint8)  # the sweep stops once a run passes n
     t = 0
     while True:
@@ -181,8 +187,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
             closed = np.flatnonzero(~open_)
             done = pos.take(closed)
             taus[done] = tau.take(closed)
-            periods[done] = np.where(x0.take(closed) == x1.take(closed), 1, 2)
-            plateaus[done] = e0.take(closed)
+            cycle[done] = x0.take(closed)
             if not still_open:
                 break
             kept = np.flatnonzero(open_)
@@ -199,22 +204,24 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         if run.max() > n:
             i = int(np.argmax(run > n))
             raise violation(
-                int(pos[i]) << 1 | 1, "energy constant for more than n consecutive transient steps"
+                2 * int(pos[i]) + 1, "energy constant for more than n consecutive transient steps"
             )
         t += 1
         if t > least_budget:  # a start still open after t steps has tau >= t
-            over = open_ & (budgets.take(pos >> (n - 1)) < t)
+            over = open_ & (budgets.take(pos // half) < t)
             if np.any(over):
                 i = int(np.argmax(over))
-                budget = budgets[int(pos[i]) >> (n - 1)]
+                budget = budgets[pos[i] // half]
                 raise violation(
-                    int(pos[i]) << 1 | 1,
+                    2 * int(pos[i]) + 1,
                     f"sweep exceeded the proven {budget}-step transient budget",
                 )
 
-    start = np.arange(1 << (n - 1), dtype=np.uint32) << np.uint32(1) | np.uint32(1)
-    start.flags.writeable = False  # shared by every graph's result
+    periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
+    plateaus = np.take(energy, cycle)
+    del succ, energy, cycle  # the chunk's results need not share memory with its tables
+    taus = taus.astype(np.int64)
     return [
-        SweepResult(n, k, start, taus[part], periods[part], plateaus[part])
-        for part in (slice(i << (n - 1), (i + 1) << (n - 1)) for i in range(len(graphs)))
+        SweepResult(n, k, start, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
+        for i in range(0, m, half)
     ]

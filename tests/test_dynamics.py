@@ -366,7 +366,7 @@ def test_sweep_chunk_matches_sweep_per_graph():
 
 
 def test_chunk_size_from_byte_cap():
-    assert [tables.chunk_size(n) for n in (13, 16, 17, 18, 22)] == [21, 2, 1, 1, 1]
+    assert [tables.chunk_size(n) for n in (9, 13, 14, 15, 22)] == [85, 5, 2, 1, 1]
     for n in range(1, tables.MAX_TABLE_VERTICES + 1):
         size = tables.chunk_size(n)
         assert size == 1 or size * 12 << n <= tables.CHUNK_TABLE_BYTES < (size + 1) * 12 << n
