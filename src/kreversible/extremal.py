@@ -9,8 +9,10 @@ expected pattern: tau_max = n - 3 and n/2 extremal trees for even n,
 and their negations, replayed through run_trajectory; for one tree,
 max_transient_search replays every start it returns.
 
-The per-tree work is embarrassingly parallel; results are merged by
-canonical code, so reports are byte-identical regardless of worker count.
+Trees are swept in chunks of same-size trees (tables.sweep_chunk), each
+tree with the canonical code it got when it was enumerated. The chunks are
+embarrassingly parallel; results are merged by canonical code, so reports
+are byte-identical regardless of worker count.
 An append-only JSONL checkpoint ledger makes long runs resumable: completed
 trees are skipped by canonical-code lookup, and a final line torn by a kill
 mid-write is dropped and truncated away before new results are appended.
@@ -310,7 +312,7 @@ def verify_conjecture(
 ) -> ConjectureReport:
     """Exhaustively search every tree on n vertices and build the report.
 
-    Trees are swept one by one; the scalar replay runs once the search is
+    Trees are swept in chunks; the scalar replay runs once the search is
     done, on the reported trees only. The verdict compares against the k = 2
     pattern (tau_max = n - 3 and the expected extremal tree count); other k
     values run fine, the verdict then records whether the k = 2 pattern holds.
@@ -338,13 +340,15 @@ def verify_conjecture(
     try:
         for result in done.values():
             keep(result)
-        pending = [
+        # trees are enumerated as chunks are taken, so only the chunks in
+        # flight are held, and pool workers fork before any tree exists
+        pending = (
             (tree, code)
             for tree in enumerate_free_trees(n)
             if (code := canonical_code(tree).hex()) not in done
-        ]
+        )
         size = chunk_size(n)
-        tasks = [(tuple(pending[i : i + size]), k, limit) for i in range(0, len(pending), size)]
+        tasks = ((chunk, k, limit) for chunk in iter(lambda: tuple(islice(pending, size)), ()))
 
         def collect(chunks) -> None:
             for result in chain.from_iterable(chunks):
@@ -353,7 +357,7 @@ def verify_conjecture(
                     ledger.write(_ledger_line(result) + "\n")
                     ledger.flush()
 
-        if workers == 1 or len(tasks) < 2:
+        if workers == 1:
             collect(map(_search, tasks))
         else:
             with Pool(processes=workers) as pool:

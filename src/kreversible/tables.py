@@ -6,18 +6,6 @@ configuration and the energy. A lockstep sweep then runs *every* initial
 configuration to its cycle at once, using the fact that the period is at
 most 2: the transient ends at the first t with x(t+2) = x(t).
 
-The sweep takes a chunk of graphs with one vertex count. Their tables are
-concatenated, state x of graph i becoming i << n | x, and one loop runs the
-starts of every graph, so numpy's per-call cost is paid once per chunk, not
-once per graph. A chunk's tables take at most CHUNK_TABLE_BYTES at 12 bytes
-per state; sweep(g, k) is the chunk of one graph. The loop compacts nothing
-per step: each start counts tau as its steps with x(t) != x(t+2), a count
-that stops once x(t) = x(t+2) puts x(t) on the cycle for good. Closed starts
-stay in the active arrays until at most half of them are still open; then
-the closed ones are written out, with the period from x(t) = x(t+1) and the
-plateau energy E(x(t)), and dropped. Each such pass at least halves the
-active set, so the compaction costs O(starts) in all.
-
 The tables are built from neighbourhood tables. Vertex v's flip bit and its
 energy term |op_v - k| depend only on the states of its closed neighbourhood
 N[v]. The 2^n index space is viewed as an array of shape (2,)*(n-L) + (2^L,)
@@ -31,6 +19,19 @@ it with one in-place XOR and the energy table with one in-place add. The
 energy is summed in int16 when its bound allows and widened to int64 once at
 the end. No other temporary spans the whole space unless N[v] holds every
 high bit.
+
+The sweep takes a chunk of graphs with one vertex count. Their tables are
+concatenated, state x of graph i becoming i << n | x, and one loop runs the
+starts of every graph, so numpy's per-call cost is paid once per chunk, not
+once per graph. A chunk's tables take at most CHUNK_TABLE_BYTES at 12 bytes
+per state; sweep(g, k) is the chunk of one graph. The loop compacts nothing
+per step: each start counts tau as its steps with x(t) != x(t+2), a count
+that stops once x(t) = x(t+2) puts x(t) on the cycle for good. Closed starts
+stay in the active arrays until at most half of them are still open; then
+the closed ones are written out, tau and x(tau), and dropped. Each such pass
+at least halves the active set, so the compaction costs O(starts) in all.
+The period (1 iff x(tau) is a fixed point) and the plateau energy E(x(tau))
+are read from x(tau) once the loop is done.
 
 Invariants are checked as the sweep runs, for each graph of a chunk —
 energy monotone over all 2^n transitions, transient within the graph's own
@@ -179,8 +180,8 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     run = np.zeros(m, dtype=np.uint8)  # the sweep stops once a run passes n
     t = 0
     while True:
-        # x(t) = x(t+2) puts x(t) on the cycle for good, so a closed start
-        # keeps its tau and the cycle gives its period and plateau energy
+        # x(t) = x(t+2) puts x(t) on the cycle for good: a closed start keeps
+        # its tau, and x(t) stays on the cycle
         open_ = x0 != x2
         still_open = np.count_nonzero(open_)
         if 2 * still_open <= len(open_):  # retiring halves the active set at least
@@ -219,7 +220,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
 
     periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
     plateaus = np.take(energy, cycle)
-    del succ, energy, cycle  # the chunk's results need not share memory with its tables
+    del succ, energy, cycle  # free the tables (48 MiB at n = 22) before widening taus
     taus = taus.astype(np.int64)
     return [
         SweepResult(n, k, start, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
