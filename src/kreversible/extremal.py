@@ -340,8 +340,8 @@ def verify_conjecture(
     try:
         for result in done.values():
             keep(result)
-        # trees are enumerated as chunks are taken, so only the chunks in
-        # flight are held, and pool workers fork before any tree exists
+        # trees are enumerated as chunks are taken, so one worker holds only
+        # the chunk in hand, and pool workers fork before any tree exists
         pending = (
             (tree, code)
             for tree in enumerate_free_trees(n)
@@ -361,7 +361,11 @@ def verify_conjecture(
             collect(map(_search, tasks))
         else:
             with Pool(processes=workers) as pool:
-                collect(pool.imap_unordered(_search, tasks))
+                # a message per chunk would cost more than a small chunk's
+                # sweep, so each worker takes a batch of chunks at a time
+                tasks = list(tasks)
+                batch = max(1, len(tasks) // (8 * workers))
+                collect(pool.imap_unordered(_search, tasks, chunksize=batch))
     finally:
         if ledger is not None:
             ledger.close()
