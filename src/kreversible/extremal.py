@@ -340,8 +340,8 @@ def verify_conjecture(
     try:
         for result in done.values():
             keep(result)
-        # trees are enumerated as chunks are taken, so one worker holds only
-        # the chunk in hand, and pool workers fork before any tree exists
+        # trees are enumerated as chunks are taken: a one-worker run holds
+        # only the chunk in hand, and pool workers fork before any tree exists
         pending = (
             (tree, code)
             for tree in enumerate_free_trees(n)
