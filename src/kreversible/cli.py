@@ -25,7 +25,7 @@ from .extremal import (
 )
 from .graphs import Graph, parse_edge_list
 from .trees import canonical_code
-from .serialize import canonical_json, edges_to_text, records_to_csv
+from .serialize import edges_to_text, render, text_header
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -41,24 +41,20 @@ def _trace_step(step) -> dict:
     return {"t": step.t, "x": step.config.to_string(), "E": step.energy}
 
 
+def _emit(args: argparse.Namespace, payload, lines, records=()) -> None:
+    print(render(args.format, payload, lines, records), end="")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    x0 = parse_config(args.config, g.n)
-    result = run_trajectory(g, x0, args.k)
-    if args.format == "json":
-        payload = {
-            "tau": result.tau,
-            "period": result.period,
-            "plateau_energy": result.plateau_energy,
-        }
-        if args.trace:
-            payload["trace"] = [_trace_step(s) for s in result.trace]
-        print(canonical_json(payload))
-    else:
-        if args.trace:
-            for s in result.trace:
-                print(json.dumps(_trace_step(s)))
-        print(f"tau={result.tau} period={result.period} E_final={result.plateau_energy}")
+    result = run_trajectory(g, parse_config(args.config, g.n), args.k)
+    payload = {"tau": result.tau, "period": result.period, "plateau_energy": result.plateau_energy}
+    lines = []
+    if args.trace:
+        payload["trace"] = [_trace_step(s) for s in result.trace]
+        lines = [json.dumps(step) for step in payload["trace"]]
+    lines.append(f"tau={result.tau} period={result.period} E_final={result.plateau_energy}")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -67,12 +63,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     traj = None
     if args.config is not None:
         traj = run_trajectory(g, parse_config(args.config, g.n), args.k)
-    report = bound_report(g, args.k, traj)
-    if args.format == "json":
-        print(canonical_json(report.to_json_dict()))
-    else:
-        fields = report.to_json_dict()
-        print(" ".join(f"{key}={value}" for key, value in fields.items() if value is not None))
+    fields = bound_report(g, args.k, traj).to_json_dict()
+    _emit(args, fields, [text_header(fields)])
     return EXIT_OK
 
 
@@ -98,20 +90,14 @@ def cmd_energy_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    found = max_transient_search(g, args.k)
-    if args.format == "json":
-        print(canonical_json(found.to_json_dict()))
-    elif args.format == "csv":
-        print(records_to_csv(found.records), end="")
-    else:
-        print(
-            f"tree_code={found.tree_code} k={found.k} tau_max={found.tau_max} "
-            f"raw_configs={found.raw_config_count} "
-            f"mod_negation={found.mod_negation_count} orbits={found.orbit_count}"
-        )
-        for r in found.records:
-            print(f"config={r.config.to_string()} period={r.period}")
+    found = max_transient_search(_load_graph(args.graph), args.k)
+    header = (
+        f"tree_code={found.tree_code} k={found.k} tau_max={found.tau_max} "
+        f"raw_configs={found.raw_config_count} "
+        f"mod_negation={found.mod_negation_count} orbits={found.orbit_count}"
+    )
+    lines = [header, *(f"config={r.config.to_string()} period={r.period}" for r in found.records)]
+    _emit(args, found.to_json_dict(), lines, found.records)
     return EXIT_OK
 
 
@@ -119,57 +105,34 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     report = verify_conjecture(
         args.n, k=args.k, workers=args.workers, checkpoint_path=args.checkpoint
     )
-    if args.format == "json":
-        print(canonical_json(report.to_json_dict()))
-    elif args.format == "csv":
-        print(records_to_csv(report.extremal_records), end="")
-    else:
-        print(
-            f"n={report.n} k={report.k} tau_max={report.tau_max} "
-            f"expected_tau_max={report.expected_tau_max} "
-            f"tree_count={report.tree_count} "
-            f"expected_tree_count={report.expected_tree_count} verdict={report.verdict}"
-        )
-        for r in report.extremal_records:
-            print(
-                f"tree_code={r.tree_code} edges={edges_to_text(r.tree_edges)} "
-                f"config={r.config.to_string()} tau={r.tau} period={r.period}"
-            )
+    payload, records = report.to_json_dict(), report.extremal_records
+    lines = [text_header(payload)] + [
+        f"tree_code={r.tree_code} edges={edges_to_text(r.tree_edges)} "
+        f"config={r.config.to_string()} tau={r.tau} period={r.period}"
+        for r in records
+    ]
+    _emit(args, payload, lines, records)
     return EXIT_OK if report.verdict == "pass" else EXIT_SCIENCE
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     family = generate_extremal_family(args.n)
     expected_tau = args.n - 3
-    verified: list[tuple[int, int]] = []
-    if args.verify or args.format == "csv":
-        runs = [run_trajectory(g, x, 2) for g, x in family]
-        verified = [(t.tau, t.period) for t in runs]
-    if args.format == "json":
-        items = []
-        for index, (g, x) in enumerate(family):
-            item = {
-                "index": index + 1,
-                "edges": [[u + 1, v + 1] for u, v in g.edges],
-                "config": x.to_string(),
-            }
-            if verified:
-                item["tau"], item["period"] = verified[index]
-            items.append(item)
-        print(canonical_json(items))
-    elif args.format == "csv":
-        records = [
-            ExtremalRecord(canonical_code(g).hex(), g.edges, x, verified[i][0], verified[i][1])
-            for i, (g, x) in enumerate(family)
-        ]
-        print(records_to_csv(records), end="")
-    else:
-        for index, (g, x) in enumerate(family):
-            line = f"tree {index + 1}: edges={edges_to_text(g.edges)} config={x.to_string()}"
-            if verified:
-                line += f" tau={verified[index][0]} period={verified[index][1]}"
-            print(line)
-    if args.verify and any(tau != expected_tau for tau, _ in verified):
+    simulate = args.verify or args.format == "csv"  # CSV rows carry tau
+    items, lines, records = [], [], []
+    for index, (g, x) in enumerate(family, start=1):
+        item = dict(index=index, edges=[[u + 1, v + 1] for u, v in g.edges], config=x.to_string())
+        line = f"tree {index}: edges={edges_to_text(g.edges)} config={x.to_string()}"
+        if simulate:
+            run = run_trajectory(g, x, 2)
+            item["tau"], item["period"] = run.tau, run.period
+            line += f" tau={run.tau} period={run.period}"
+            code = canonical_code(g).hex()
+            records.append(ExtremalRecord(code, g.edges, x, run.tau, run.period))
+        items.append(item)
+        lines.append(line)
+    _emit(args, items, lines, records)
+    if args.verify and any(r.tau != expected_tau for r in records):
         print(f"verification failed: expected tau={expected_tau}", file=sys.stderr)
         return EXIT_SCIENCE
     return EXIT_OK
@@ -177,17 +140,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_validate_generator(args: argparse.Namespace) -> int:
     outcome = cross_validate_generator(verify_conjecture(args.n, workers=args.workers))
-    if args.format == "json":
-        print(canonical_json(outcome.to_json_dict()))
-    else:
-        print(
-            f"n={outcome.n} expected_tau={outcome.expected_tau} "
-            f"all_reach_bound={str(outcome.all_reach_bound).lower()} "
-            f"codes_match={str(outcome.codes_match).lower()} "
-            f"configs_match={str(outcome.configs_match).lower()} verdict={outcome.verdict}"
-        )
-        for line in outcome.mismatches:
-            print(f"mismatch: {line}")
+    payload = outcome.to_json_dict()
+    _emit(args, payload, [text_header(payload), *(f"mismatch: {m}" for m in outcome.mismatches)])
     return EXIT_OK if outcome.verdict == "pass" else EXIT_SCIENCE
 
 

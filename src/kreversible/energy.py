@@ -15,7 +15,7 @@ violation, since a failure is possible only through an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dynamics import (
     Configuration,
@@ -146,16 +146,7 @@ class BoundReport:
     plateau_bound: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "max_degree": self.max_degree,
-            "general_bound": self.general_bound,
-            "high_k_bound": self.high_k_bound,
-            "tree_bound": self.tree_bound,
-            "tree_max_energy": self.tree_max_energy,
-            "plateau_bound": self.plateau_bound,
-        }
+        return asdict(self)
 
 
 def bound_report(g: Graph, k: int, traj: TrajectoryResult | None = None) -> BoundReport:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from multiprocessing import Pool
 
@@ -111,13 +111,6 @@ class SearchResult:
         }
 
 
-def _check_scope(tree: Graph, limit: int) -> None:
-    if not is_tree(tree):
-        raise ValueError("extremal search is scoped to trees")
-    if tree.n > limit:
-        raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
-
-
 def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
     """Step 1 for one tree, given its sweep: every start is checked against
     the transient bounds, and the starts attaining the maximum are kept."""
@@ -137,13 +130,11 @@ def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
     return SearchResult(tree, code, k, tau_max, starts)
 
 
-def _search(task: tuple[tuple[tuple[Graph, str], ...], int, int]) -> list[SearchResult]:
-    """Step 1 for a chunk of same-n trees, each with its canonical code: one
-    sweep for the chunk, then each tree's result, in order. The pool's
-    entry point."""
-    chunk, k, limit = task
-    for tree, _ in chunk:
-        _check_scope(tree, limit)
+def _search(task: tuple[tuple[tuple[Graph, str], ...], int]) -> list[SearchResult]:
+    """Step 1 for a chunk of same-n enumerated trees, each with its canonical
+    code: one sweep for the chunk, then each tree's result, in order. The
+    pool's entry point; the trees are in scope by construction."""
+    chunk, k = task
     sweeps = sweep_chunk([tree for tree, _ in chunk], k)
     return [_result(tree, code, k, res) for (tree, code), res in zip(chunk, sweeps)]
 
@@ -182,7 +173,10 @@ def max_transient_search(
     checked, not assumed. Each error names the tree, k and the start, which
     `kreversible simulate` replays.
     """
-    _check_scope(tree, limit)
+    if not is_tree(tree):
+        raise ValueError("extremal search is scoped to trees")
+    if tree.n > limit:
+        raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
     _replay(result := _result(tree, canonical_code(tree).hex(), k, sweep(tree, k)))
     return result
 
@@ -348,7 +342,7 @@ def verify_conjecture(
             if (code := canonical_code(tree).hex()) not in done
         )
         size = chunk_size(n)
-        tasks = ((chunk, k, limit) for chunk in iter(lambda: tuple(islice(pending, size)), ()))
+        tasks = ((chunk, k) for chunk in iter(lambda: tuple(islice(pending, size)), ()))
 
         def collect(chunks) -> None:
             for result in chain.from_iterable(chunks):
@@ -440,17 +434,7 @@ class CrossValidation:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "expected_tau": self.expected_tau,
-            "all_reach_bound": self.all_reach_bound,
-            "family_codes": list(self.family_codes),
-            "extremal_codes": list(self.extremal_codes),
-            "codes_match": self.codes_match,
-            "configs_match": self.configs_match,
-            "mismatches": list(self.mismatches),
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def cross_validate_generator(report: ConjectureReport) -> CrossValidation:

@@ -244,8 +244,8 @@ def test_criterion_6_generator_goldens_and_cross_validation(conjecture_reports):
         info["detail"] = (
             "n=8 and n=9 families reproduced bit-exactly (4 and 3 trees, "
             "alternating configuration); cross-validation passes for n=6..13; "
-            "n=5 honestly fails (the family misses the extremal spider: "
-            "strict xfail)"
+            "n=5 honestly fails (the family emits the spider but misses the "
+            "5-path and the spider's second orbit: strict xfail)"
         )
 
 

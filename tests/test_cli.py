@@ -136,37 +136,74 @@ def test_energy_trace_lines(capsys, p3_file):
         assert now["E"] + now["delta"] == nxt["E"]
 
 
-# sha256 of stdout, captured from an earlier release: energy-trace reads every
-# field of the energy bookkeeping, simulate --trace the scalar engine's trace
+# sha256 of stdout and the exit code, captured from an earlier release, for
+# every command and format: energy-trace reads every field of the energy
+# bookkeeping, simulate --trace the scalar engine's trace, and the n = 5
+# conjecture and validate-generator runs exit 3 with their mismatch lines
 STDOUT_SHA256 = [
-    ("p3", ["energy-trace", "--config", "+-+", "--k", "1"],
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "1"], 0,
      "e828f50ea191eae514f6764c844b740ad8ce3ded2c190e5166d7e8921ffeb481"),
-    ("p3", ["energy-trace", "--config", "+-+", "--k", "2"],
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "2"], 0,
      "5aabf5a2a7f4aafa88960ab624d3b975aa5decaf184e33f639ddde46ad854033"),
-    ("p3", ["energy-trace", "--config", "+-+", "--k", "3"],
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "3"], 0,
      "827f9fcf8eae899c90fe9deddf3aaf441592b40a43ede194930b89ab6af8ce3f"),
-    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "1"],
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "1"], 0,
      "95c65fcb7028a5dfe1c487fd8b3974e4eea8394159575f04bf259787ce8f50e0"),
-    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "2"],
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "2"], 0,
      "6998b75de757d8902e6dbcdd7a161b58355136220377fac13aa04fa4ee7800c5"),
-    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "3"],
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "3"], 0,
      "9cbd377098dddd3619a3721302e2dd24b6d4dfeaa860450bb5ff9b79a5e8810f"),
-    ("top", ["simulate", "--config", "+-+-+-+-", "--trace", "--format", "json"],
+    ("top", ["simulate", "--config", "+-+-+-+-", "--trace", "--format", "json"], 0,
      "71c062b26436ae0cdcb76043a93625ac7020249abede61a1a754da664d8017f6"),
-    ("top", ["simulate", "--config", "+-+-+-+-", "--trace"],
+    ("top", ["simulate", "--config", "+-+-+-+-", "--trace"], 0,
      "b7680307881c65cc0be713ce6f15e67083a4abda4b20b5ce33db14398a5d2203"),
-    ("p3", ["simulate", "--config", "+-+", "--k", "1", "--trace"],
+    ("p3", ["simulate", "--config", "+-+", "--k", "1", "--trace"], 0,
      "bec5e0bdee9d7563e992b70ca6031b51c162ebad081f2926baa4c6ab7de38902"),
-    ("top", ["bounds", "--format", "json", "--config", "+-+-+-+-"],
+    ("top", ["bounds", "--format", "json", "--config", "+-+-+-+-"], 0,
      "8987917a77c9f2dbfeefda0c9550396e047f2c804a946f4628c86d8cb282ed53"),
+    ("top", ["simulate", "--config", "+-+-+-+-"], 0,
+     "68e7994e9904ffc7451a41b4f00460ffccd4d6f59806a8628766c55cfc3f841a"),
+    ("top", ["simulate", "--config", "+-+-+-+-", "--format", "json"], 0,
+     "f0b30ce09b8cd7216364190c8f9014b9db2f57c8bc1cb21454c5cc261d7fe273"),
+    ("pendant", ["bounds", "--k", "1"], 0,
+     "35c02d72d0bc89402762993fa1c7b31e9ce731735e4467ffe89981627398c09e"),
+    ("top", ["search"], 0,
+     "ea350f7dbeae00ac245f0704025c701976b9e1311c2609e8cb77fe7ed73b67e1"),
+    ("top", ["search", "--format", "json"], 0,
+     "46620bd01b2c36d3da8cd37e68cef6d74083b1d7f570bf5599f4766ac7fd8abc"),
+    ("top", ["search", "--format", "csv"], 0,
+     "ce4fa449cbf43c3859e2dc067427d09a303f0ef5a9b411c75ce46f6dcc7ddc70"),
+    (None, ["conjecture", "--n", "8"], 0,
+     "44d6e62f38f09f25a52b1f1bc4a09de8d63bef61b517f9295a3cba39e575bd1e"),
+    (None, ["conjecture", "--n", "8", "--format", "json"], 0,
+     "6aaca0f1f39a693828fb057df16bc1092585e8e5f2660cd769050da6299d6994"),
+    (None, ["conjecture", "--n", "8", "--format", "csv"], 0,
+     "90dea01b7c6776d02210825750e63c16b20358c4626e671ec4169435bffef870"),
+    (None, ["conjecture", "--n", "5"], 3,
+     "db0c5d60e7c5d532816604bc1ffaae10da3aa97db8280072545c1c0516584975"),
+    (None, ["generate", "--n", "9"], 0,
+     "f068158cef0b80c9f3122289b6afa293c1c90b995efddabbc1141b564eaf4efa"),
+    (None, ["generate", "--n", "9", "--format", "json"], 0,
+     "99c61d69fbcccdf049f293ba19c64f10e86aaec99b0df47d0c4aef1fa550d83b"),
+    (None, ["generate", "--n", "9", "--format", "csv"], 0,
+     "dbc2e6f657b72f3907b2187bdce2a1f2507857a778dcdce8e6682f95797f997d"),
+    (None, ["generate", "--n", "9", "--verify"], 0,
+     "6386b314edf5fcbaed5c4e039ee94550922d7bdee1579ba773ecfa4bda323b3a"),
+    (None, ["validate-generator", "--n", "5"], 3,
+     "b468cfa498bb4cc113cf4dc1550c6d89c583da475a74eb9c3ce5c4398f02c564"),
+    (None, ["validate-generator", "--n", "5", "--format", "json"], 3,
+     "e810bf5f27c6afd8dbe890565065b9786a0cef3bea2da334fd007a65ba1af6ff"),
 ]
 
 
-def test_outputs_match_goldens(capsys, p3_file, top_tree_file):
-    files = {"p3": p3_file, "top": top_tree_file}
-    for graph, (command, *options), digest in STDOUT_SHA256:
-        code, out, err = run_cli(capsys, command, "--graph", files[graph], *options)
-        assert (code, err) == (0, "")
+def test_outputs_match_goldens(capsys, tmp_path, p3_file, top_tree_file):
+    pendant = tmp_path / "pendant.txt"  # a triangle with a pendant vertex: not a tree
+    pendant.write_text("n=4\n1 2\n2 3\n1 3\n3 4\n")
+    files = {"p3": p3_file, "top": top_tree_file, "pendant": str(pendant)}
+    for graph, (command, *options), exit_code, digest in STDOUT_SHA256:
+        graph_args = [] if graph is None else ["--graph", files[graph]]
+        code, out, err = run_cli(capsys, command, *graph_args, *options)
+        assert (code, err) == (exit_code, ""), [command, *options]
         assert hashlib.sha256(out.encode()).hexdigest() == digest, [command, *options]
 
 

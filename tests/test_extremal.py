@@ -251,6 +251,8 @@ def test_cross_validation_reports_the_n5_gap():
     assert not cv.codes_match
     assert len(cv.family_codes) == 1
     assert len(cv.extremal_codes) == 2
+    # the family emits the spider; the tree it misses is the 5-path
+    assert set(cv.extremal_codes) - set(cv.family_codes) == {canonical_code(path_graph(5)).hex()}
     kinds = sorted(m.split(" ")[0] for m in cv.mismatches)
     assert any(m.startswith("extremal trees not generated:") for m in cv.mismatches)
     assert any("outside the family orbit" in m for m in cv.mismatches)
@@ -309,14 +311,14 @@ def test_report_json_shape():
 
 def test_pool_worker_entrypoint_is_importable():
     # the multiprocessing path pickles the worker by qualified name; a task
-    # is a chunk of (tree, canonical code) pairs, k and the limit
+    # is a chunk of enumerated (tree, canonical code) pairs and k
     from kreversible.extremal import _search
 
     ctx = multiprocessing.get_start_method()
     assert ctx in {"fork", "spawn", "forkserver"}
     assert pickle.loads(pickle.dumps(_search)) is _search
     chunk = tuple((g, canonical_code(g).hex()) for g in [path_graph(5), *enumerate_free_trees(5)])
-    out = _search(pickle.loads(pickle.dumps((chunk, 2, 16))))
+    out = _search(pickle.loads(pickle.dumps((chunk, 2))))
     assert all(isinstance(r, SearchResult) for r in out)
     assert [(r.tree, r.tree_code) for r in out] == list(chunk)
     assert out[0].tau_max == 2
@@ -412,7 +414,7 @@ def test_every_attaining_start_replays_for_n_up_to_11():
     for n in range(1, 12):
         for k in (1, 2, 3):
             chunk = tuple((tree, canonical_code(tree).hex()) for tree in enumerate_free_trees(n))
-            for (tree, _), found in zip(chunk, extremal._search((chunk, k, n))):
+            for (tree, _), found in zip(chunk, extremal._search((chunk, k))):
                 for bits, period in found.starts:
                     x = Configuration(n, bits)
                     for probe in (x, x.negate()):
