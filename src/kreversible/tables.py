@@ -6,32 +6,38 @@ configuration and the energy. A lockstep sweep then runs *every* initial
 configuration to its cycle at once, using the fact that the period is at
 most 2: the transient ends at the first t with x(t+2) = x(t).
 
-The tables are built from neighbourhood tables. Vertex v's flip bit and its
-energy term |op_v - k| depend only on the states of its closed neighbourhood
-N[v]. The 2^n index space is viewed as an array of shape (2,)*(n-L) + (2^L,)
-with L = n // 2: the low L bits form one contiguous trailing axis, and each
-high bit has an axis of its own (axis a holds bit n-1-a). Each vertex's
-formula is evaluated on every combination of the high bits in N[v] times all
-2^L low states, a sample whose other high axes have length 1. That local
-table broadcasts over the axes outside N[v], so the successor table (which
-starts as the identity; flip bits of different vertices never overlap) takes
-it with one in-place XOR and the energy table with one in-place add. The
-energy is summed in int16 when its bound allows and widened to int64 once at
-the end. No other temporary spans the whole space unless N[v] holds every
-high bit.
+The tables of a chunk of graphs with one vertex count are built together,
+state x of graph i becoming i << n | x, from neighbourhood tables: vertex v's
+flip bit and its energy term |op_v - k| depend only on the states of its
+closed neighbourhood N[v]. The chunk's index space is viewed as an array of
+shape (T,) + (2,)*(n-L) + (2^L,) for T graphs, with L = n // 2: a leading
+graph axis, the low L bits as one contiguous trailing axis, and an axis for
+each high bit (axis 1 + a holds bit n-1-a). There is one pass per vertex
+slot v for the whole chunk. The formula is evaluated on every combination
+of the high bits in the union over the chunk of N[v], times all 2^L low
+states, a sample whose other high axes have length 1, with each graph's
+neighbour mask a column on the graph axis. That local table broadcasts over
+the axes outside the union, so the successor table (which starts as the
+identity; flip bits of different vertices never overlap) takes it with one
+in-place XOR and the energy table with one in-place add. A slot of degree
+below k in every graph never flips, since op_v <= deg(v), so there only the
+energy is added. The energy is summed in int16 when its bound allows and
+widened to int64 once at the end. state_tables(g, k) is the chunk of one,
+whose union is N[v]: no other temporary spans the whole space unless N[v]
+holds every high bit.
 
-The sweep takes a chunk of graphs with one vertex count. Their tables are
-concatenated, state x of graph i becoming i << n | x, and one loop runs the
-starts of every graph, so numpy's per-call cost is paid once per chunk, not
-once per graph. A chunk's tables take at most CHUNK_TABLE_BYTES at 12 bytes
-per state; sweep(g, k) is the chunk of one graph. The loop compacts nothing
-per step: each start counts tau as its steps with x(t) != x(t+2), a count
-that stops once x(t) = x(t+2) puts x(t) on the cycle for good. Closed starts
-stay in the active arrays until at most half of them are still open; then
-the closed ones are written out, tau and x(tau), and dropped. Each such pass
-at least halves the active set, so the compaction costs O(starts) in all.
-The period (1 iff x(tau) is a fixed point) and the plateau energy E(x(tau))
-are read from x(tau) once the loop is done.
+The sweep takes a chunk of graphs with one vertex count and runs the starts
+of every graph in one loop over the chunk's tables, so numpy's per-call cost
+is paid once per chunk, not once per graph. A chunk's tables take at most
+CHUNK_TABLE_BYTES at 12 bytes per state; sweep(g, k) is the chunk of one
+graph. The loop compacts nothing per step: each start counts tau as its
+steps with x(t) != x(t+2), a count that stops once x(t) = x(t+2) puts x(t)
+on the cycle for good. Closed starts stay in the active arrays until at most
+half of them are still open; then the closed ones are written out, tau and
+x(tau), and dropped. Each such pass at least halves the active set, so the
+compaction costs O(starts) in all. The period (1 iff x(tau) is a fixed
+point) and the plateau energy E(x(tau)) are read from x(tau) once the loop
+is done.
 
 Invariants are checked as the sweep runs, for each graph of a chunk —
 energy monotone over all 2^n transitions, transient within the graph's own
@@ -69,7 +75,16 @@ CHUNK_TABLE_BYTES = 512 << 10
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays over all 2^n packed configurations."""
-    n = g.n
+    return chunk_tables([g], k)
+
+
+def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(successor, energy) arrays of graphs with one vertex count, built
+    together: state x of graph i is i << n | x, and its successor carries
+    the same offset."""
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("a chunk takes graphs with one vertex count")
     if n > MAX_TABLE_VERTICES:
         raise ValueError(f"state tables need n <= {MAX_TABLE_VERTICES}, got {n}")
     _check_k(k)
@@ -78,7 +93,7 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")
     low = n // 2
     high = n - low
-    shape = (2,) * high + (1 << low,)
+    shape = (len(graphs),) + (2,) * high + (1 << low,)
     high_bits = np.arange(1 << high, dtype=np.uint32) << np.uint32(low)
     high_bits = high_bits.reshape((2,) * high + (1,))
     low_bits = np.arange(1 << low, dtype=np.uint32)
@@ -86,20 +101,23 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     # each term |op_v - k| is at most max(k, n), so every partial sum of a
     # state's energy fits in int16 whenever n * max(k, n) does
     partial = np.int16 if n * max(k, n) <= np.iinfo(np.int16).max else np.int64
-    succ = np.arange(1 << n, dtype=np.uint32)
-    energy = np.zeros(1 << n, dtype=partial)
+    succ = np.arange(len(graphs) << n, dtype=np.uint32)
+    energy = np.zeros(len(graphs) << n, dtype=partial)
     succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
-    for v, mask in enumerate(g.neighbor_masks):
-        closed = mask | (1 << v)
-        # high bits outside N[v] are held at 0: the formula does not read them
+    slot_masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint32).T
+    for v, masks in enumerate(slot_masks):
+        closed = int(np.bitwise_or.reduce(masks)) | (1 << v)
+        # high bits outside every graph's N[v] are held at 0: no formula reads them
         sample = tuple(slice(None) if closed >> (n - 1 - a) & 1 else slice(1) for a in range(high))
         states = high_bits[sample] | low_bits
         sign_v = (states >> np.uint32(v)) & np.uint32(1)
-        # neighbors disagreeing with v: complement the state word where v is +1
-        discord = (states ^ (sign_v * full)) & np.uint32(mask)
-        op = np.bitwise_count(discord).astype(np.int64)
-        succ_view ^= (op >= k).astype(np.uint32) << np.uint32(v)
-        energy_view += np.abs(op - k).astype(partial)
+        # neighbors disagreeing with v: complement the state word where v is
+        # +1; graph i's mask, a column on the graph axis, broadcasts over states
+        discord = (states ^ (sign_v * full)) & masks.reshape((-1,) + (1,) * (high + 1))
+        op = np.bitwise_count(discord).astype(partial)  # k and op - k fit it too
+        if int(np.bitwise_count(masks).max()) >= k:  # else op <= degree < k: v never flips
+            succ_view ^= (op >= k) * np.uint32(1 << v)
+        energy_view += np.abs(op - k)
     return succ, energy.astype(np.int64, copy=False)
 
 
@@ -136,17 +154,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     graph it occurs on and that graph's first offending start.
     """
     n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("a chunk takes graphs with one vertex count")
-    if len(graphs) == 1:  # no copy: one graph's tables may be the largest allowed
-        succ, energy = state_tables(graphs[0], k)
-    else:  # state x of graph i is i << n | x
-        succ = np.empty(len(graphs) << n, dtype=np.uint32)
-        energy = np.empty(len(graphs) << n, dtype=np.int64)
-        for i, g in enumerate(graphs):
-            part = slice(i << n, (i + 1) << n)
-            succ[part], energy[part] = state_tables(g, k)
-            succ[part] += np.uint32(i << n)
+    succ, energy = chunk_tables(graphs, k)
 
     def violation(state, what: str) -> InternalInvariantError:
         g = graphs[int(state) >> n]

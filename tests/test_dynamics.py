@@ -325,7 +325,7 @@ def test_sweep_invariant_errors_name_edges_k_and_start(monkeypatch):
             (chain, np.arange(16, dtype=np.int64)), "+---"),
     }
     for what, (tables_, start) in corrupted.items():
-        monkeypatch.setattr(tables, "state_tables", lambda g, k, t=tables_: t)
+        monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k, t=tables_: t)
         with pytest.raises(InternalInvariantError) as caught:
             sweep(p4, 1)
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
@@ -394,20 +394,70 @@ def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
         "sweep exceeded the proven 13-step transient budget": (
             (chain, np.arange(16, dtype=np.int64)), "+---"),
     }
-    real = tables.state_tables
+    real = tables.chunk_tables
+
+    def corrupt(i, succ_i, energy_i):
+        """The chunk's real tables with graph i's slice replaced."""
+        def build(graphs, k):
+            succ, energy = real(graphs, k)
+            part = slice(i << 4, (i + 1) << 4)
+            succ[part], energy[part] = succ_i + np.uint32(i << 4), energy_i
+            return succ, energy
+        return build
+
     for what, (tables_, start) in corrupted.items():
-        monkeypatch.setattr(
-            tables, "state_tables", lambda g, k, t=tables_: t if g is p4 else real(g, k)
-        )
+        monkeypatch.setattr(tables, "chunk_tables", corrupt(chunk.index(p4), *tables_))
         with pytest.raises(InternalInvariantError) as caught:
             tables.sweep_chunk(chunk, 1)
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
     # the same chain within the star's budget of 17 steps is no violation
-    monkeypatch.setattr(
-        tables, "state_tables",
-        lambda g, k: (chain, np.arange(16, dtype=np.int64)) if g is chunk[0] else real(g, k),
-    )
+    monkeypatch.setattr(tables, "chunk_tables", corrupt(0, chain, np.arange(16, dtype=np.int64)))
     assert tables.sweep_chunk(chunk, 1)[0].taus[0] == 14
+
+
+def assert_chunk_tables_split(graphs, k):
+    """Graph i's slice of the chunk's tables, less its i << n offset, is its
+    own tables bit for bit."""
+    n = graphs[0].n
+    succ, energy = tables.chunk_tables(graphs, k)
+    assert succ.dtype == np.uint32 and energy.dtype == np.int64
+    assert succ.shape == energy.shape == (len(graphs) << n,)
+    for i, g in enumerate(graphs):
+        part = slice(i << n, (i + 1) << n)
+        alone_succ, alone_energy = state_tables(g, k)
+        assert np.array_equal(succ[part] - np.uint32(i << n), alone_succ)
+        assert np.array_equal(energy[part], alone_energy)
+
+
+def test_chunk_tables_match_each_graph_alone():
+    # every free tree with n <= 10 at every k in 1..max degree + 1, in chunks
+    # of 1, 2, 3, ... trees so chunk boundaries fall everywhere
+    for n in range(1, 11):
+        trees = list(enumerate_free_trees(n))
+        sizes = itertools.cycle(range(1, 8))
+        for k in range(1, max(g.max_degree() for g in trees) + 2):
+            i = 0
+            while i < len(trees):
+                chunk = trees[i : i + next(sizes)]
+                i += len(chunk)
+                assert_chunk_tables_split(chunk, k)
+    # graphs with different maximum degrees, whose closed neighbourhoods
+    # together hold every high bit at some slot
+    rng = random.Random(71)
+    for n in range(9, 13):
+        graphs = [random_connected_graph(rng, n) for _ in range(5)] + [random_tree(rng, n)]
+        assert len({g.max_degree() for g in graphs}) > 1
+        high = n - n // 2
+        unions = np.bitwise_or.reduce([g.neighbor_masks for g in graphs]) | 1 << np.arange(n)
+        assert np.any(unions >> (n - high) == (1 << high) - 1)
+        for k in (1, 2, 3, max(g.max_degree() for g in graphs) + 1):
+            assert_chunk_tables_split(graphs, k)
+    # the largest k whose energies the engine sums in int16, the smallest it
+    # sums in int64, and one needing 64 bits
+    graphs = [crossing_path(12)] + [random_connected_graph(rng, 12) for _ in range(3)]
+    top16 = np.iinfo(np.int16).max // 12
+    for k in (top16, top16 + 1, 1 << 40):
+        assert_chunk_tables_split(graphs, k)
 
 
 def test_sweep_rejects_oversized_graphs():
