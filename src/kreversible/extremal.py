@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain, islice
 from multiprocessing import Pool
 
@@ -95,9 +96,13 @@ class SearchResult:
     def mod_negation_count(self) -> int:  # representatives with vertex 1 at +1
         return len(self.starts)
 
+    @cached_property
+    def orbit_codes(self) -> frozenset[bytes]:  # one per class modulo negation + automorphism
+        return frozenset(config_orbit_code(self.tree, r.config) for r in self.records)
+
     @property
-    def orbit_count(self) -> int:  # distinct modulo negation + tree automorphism
-        return len({config_orbit_code(self.tree, r.config) for r in self.records})
+    def orbit_count(self) -> int:
+        return len(self.orbit_codes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,6 +257,14 @@ def _ledger_line(result: SearchResult) -> str:
     )
 
 
+def _json_int(value) -> int:
+    """A ledger integer field, which must be a JSON integer: no float, bool or
+    string stands in for one."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult], int]:
     """Parse a ledger, returning the completed results by tree code and the
     byte offset just past the last intact line.
@@ -280,9 +293,11 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
         if not isinstance(entry, dict) or (entry.get("n"), entry.get("k")) != (n, k):
             raise ParseError(f"checkpoint line {index + 1} is not from the run n={n}, k={k}")
         try:  # the inverse of _ledger_line
-            code, tau_max = entry["code"], int(entry["tau_max"])
+            for field in ("n", "k"):  # 7.0 and true equal 7 and 1 in the check above
+                _json_int(entry[field])
+            code, tau_max = entry["code"], _json_int(entry["tau_max"])
             tree = Graph.from_edges(n, [(u - 1, v - 1) for u, v in entry["edges"]])
-            starts = tuple((parse_config(c, n).bits, int(p)) for c, p in entry["configs"])
+            starts = tuple((parse_config(c, n).bits, _json_int(p)) for c, p in entry["configs"])
             if not starts:  # every tree attains its own maximum somewhere
                 raise ValueError("no attaining configuration")
             actual = canonical_code(tree).hex()
@@ -478,8 +493,7 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
             continue  # already reported as a code mismatch
         # records live on the enumeration labeling, the family tree on its
         # own; orbit codes are the labeling-invariant comparison
-        orbits = {config_orbit_code(found.tree, r.config) for r in found.records}
-        if orbits != {config_orbit_code(tree, x)}:
+        if found.orbit_codes != {config_orbit_code(tree, x)}:
             configs_match = False
             mismatches.append(
                 f"tree {code} has extremal configurations outside the family orbit"

@@ -21,8 +21,6 @@ are split out as strict xfails so the gate stays honest.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import subprocess
 import sys
 import time
@@ -42,7 +40,7 @@ from kreversible import (
     sweep,
 )
 
-from conftest import max_energy, prufer_oracle_trees, record_acceptance
+from conftest import degree_ordered_sequences, max_energy, prufer_oracle_trees, record_acceptance
 
 
 @contextmanager
@@ -258,43 +256,21 @@ def test_criterion_6_predicted_n5_cross_validation(conjecture_reports):
     assert cross_validate_generator(reports[5]).verdict == "pass"
 
 
-def prufer_slice_codes(n: int, start: int, stop: int) -> set[bytes]:
-    """Canonical codes of the Prüfer oracle's trees over one index slice."""
-    return {canonical_code(t) for t in prufer_oracle_trees(n, sequence_range=(start, stop))}
-
-
-def prufer_oracle_codes(workers: int) -> dict[int, set[bytes]]:
-    """Oracle code sets for n = 2..9; the n = 8 and n = 9 scans (n^(n-2)
-    sequences each) are split into one index slice per worker process and
-    merged by canonical code, since slices deduplicate independently."""
-    slices = []
-    for n in range(2, 10):
-        total, parts = n ** (n - 2), workers if n >= 8 else 1
-        slices += [(n, total * i // parts, total * (i + 1) // parts) for i in range(parts)]
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        scanned = pool.starmap(prufer_slice_codes, slices, chunksize=1)
-    codes: dict[int, set[bytes]] = {n: set() for n in range(2, 10)}
-    for (n, _, _), found in zip(slices, scanned):
-        codes[n] |= found
-    return codes
-
-
 def test_criterion_7_enumeration_matches_prufer_oracle():
     with criterion(7) as info:
         start = time.perf_counter()
-        workers = min(4, len(os.sched_getaffinity(0)))
-        oracle = prufer_oracle_codes(workers)
         counts = [sum(1 for _ in enumerate_free_trees(1))]
         for n in range(2, 10):
-            oracle_codes = oracle[n]
+            oracle_codes = {canonical_code(t) for t in prufer_oracle_trees(n)}
             enum_codes = {canonical_code(t) for t in enumerate_free_trees(n)}
             assert enum_codes == oracle_codes
             counts.append(len(oracle_codes))
+        decoded = sum(1 for n in range(2, 10) for _ in degree_ordered_sequences(n))
         elapsed = time.perf_counter() - start
         info["detail"] = (
             f"canonical-code sets equal for n=2..9; oracle-derived class "
             f"counts n=1..9: {counts} (n=1 by direct enumeration) "
-            f"in {elapsed:.1f}s with {workers} oracle process(es)"
+            f"in {elapsed:.1f}s from {decoded} decoded Prüfer sequences"
         )
 
 

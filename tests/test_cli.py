@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from kreversible import canonical_code, parse_edge_list, verify_conjecture
+from kreversible import (
+    canonical_code,
+    extremal,
+    generate_extremal_family,
+    parse_edge_list,
+    verify_conjecture,
+)
 from kreversible.cli import main
 from kreversible.serialize import CSV_COLUMNS, canonical_json
 
@@ -335,6 +341,22 @@ def test_validate_generator_json(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["family_codes"] == payload["extremal_codes"]
+
+
+def test_orbit_codes_computed_once_per_record(capsys, monkeypatch, top_tree_file):
+    # the header's orbit count, the payload and the cross-validation all
+    # read one cached set of orbit codes per result
+    records = len(verify_conjecture(8).extremal_records)
+    calls = []
+    real = extremal.config_orbit_code
+    monkeypatch.setattr(extremal, "config_orbit_code", lambda g, x: calls.append(x) or real(g, x))
+    code, out, _ = run_cli(capsys, "search", "--graph", top_tree_file, "--format", "json")
+    assert code == 0
+    assert len(calls) == json.loads(out)["mod_negation_count"] == 2
+    calls.clear()
+    code, _, _ = run_cli(capsys, "validate-generator", "--n", "8")
+    assert code == 0
+    assert len(calls) == records + len(generate_extremal_family(8))
 
 
 def test_usage_errors_exit_two(capsys, p3_file):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import pickle
 
 import pytest
@@ -167,16 +166,32 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
 
     lines = path.read_text().splitlines()
     # line 2 under line 3's code: a resume would skip line 3's tree and drop it
-    claims_other_tree = {**json.loads(lines[1]), "code": json.loads(lines[2])["code"]}
-    no_configs = {**json.loads(lines[1]), "configs": []}
+    entry = json.loads(lines[1])
+    claims_other_tree = {**entry, "code": json.loads(lines[2])["code"]}
+    no_configs = {**entry, "configs": []}
+    # integer fields of the wrong JSON type: each equals, or int() turns it
+    # into, the right value, so only a type check catches it
+    float_n = {**entry, "n": 6.0}
+    fractional_tau = {**entry, "tau_max": entry["tau_max"] + 0.5}
+    string_tau = {**entry, "tau_max": str(entry["tau_max"])}
+    string_period = {**entry, "configs": [[c, str(p)] for c, p in entry["configs"]]}
     for bad in (
         "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree),
-        json.dumps(no_configs),
+        json.dumps(no_configs), json.dumps(float_n), json.dumps(fractional_tau),
+        json.dumps(string_tau), json.dumps(string_period),
     ):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="checkpoint line 2 "):
             verify_conjecture(6, checkpoint_path=path)
+
+    path.unlink()
+    verify_conjecture(6, k=1, checkpoint_path=path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "k": True})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="checkpoint line 2 "):
+        verify_conjecture(6, k=1, checkpoint_path=path)
 
 
 # sha256 of the n = 6 ledger's lines, sorted, each ending in a newline
@@ -310,12 +325,10 @@ def test_report_json_shape():
 
 
 def test_pool_worker_entrypoint_is_importable():
-    # the multiprocessing path pickles the worker by qualified name; a task
-    # is a chunk of enumerated (tree, canonical code) pairs and k
+    # the pool path pickles the worker by qualified name; a task is a chunk
+    # of enumerated (tree, canonical code) pairs and k
     from kreversible.extremal import _search
 
-    ctx = multiprocessing.get_start_method()
-    assert ctx in {"fork", "spawn", "forkserver"}
     assert pickle.loads(pickle.dumps(_search)) is _search
     chunk = tuple((g, canonical_code(g).hex()) for g in [path_graph(5), *enumerate_free_trees(5)])
     out = _search(pickle.loads(pickle.dumps((chunk, 2))))

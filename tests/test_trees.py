@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 from kreversible import Graph, canonical_code, enumerate_free_trees, is_tree
-from kreversible.trees import _centers_from_adjacency
+from kreversible.trees import _bfs_order, _centers_from_adjacency
 
-from conftest import canonical_key, prufer_oracle_trees, prufer_to_edges, random_tree, relabel
+from conftest import canonical_key, degree_ordered_sequences, prufer_to_edges, random_tree, relabel
 
 
 def centers(g: Graph) -> tuple[int, ...]:
@@ -110,14 +112,45 @@ def free_tree_counts(limit: int) -> list[int]:
     return counts
 
 
+def automorphism_count(g: Graph) -> int:
+    """|Aut(T)| of a tree, rooted at its centre: the product over vertices of
+    m! for each class of m isomorphic child subtrees. A bicentral tree's
+    central edge is subdivided first, so the new midpoint is the root and
+    isomorphic halves give the factor 2."""
+    adjacency = [list(nbrs) for nbrs in g.adjacency]
+    centres = _centers_from_adjacency(g.n, adjacency)
+    root = centres[0]
+    if len(centres) == 2:
+        a, b = centres
+        adjacency[a][adjacency[a].index(b)] = g.n
+        adjacency[b][adjacency[b].index(a)] = g.n
+        adjacency.append([a, b])
+        root = g.n
+    order, parent = _bfs_order(len(adjacency), adjacency, root)
+    intern: dict[tuple[int, ...], int] = {}
+    child_keys: list[list[int]] = [[] for _ in adjacency]
+    count = 1
+    for v in reversed(order):
+        for m in Counter(child_keys[v]).values():
+            count *= math.factorial(m)
+        key = intern.setdefault(tuple(sorted(child_keys[v])), len(intern))
+        if v != root:
+            child_keys[parent[v]].append(key)
+    return count
+
+
 def test_enumerate_counts_match_otter_formula():
-    # the conjecture runs up to n = 16, beyond the networkx comparison above
+    # the conjecture runs up to n = 16, beyond the networkx comparison above;
+    # Cayley's n^(n-2) labelled trees, each class counted n!/|Aut(T)| times,
+    # checks completeness and distinctness by a second route
     for n, count in enumerate(free_tree_counts(16), start=1):
         trees = list(enumerate_free_trees(n))
         assert len(trees) == count
         intern: dict[tuple[int, ...], int] = {}
         keys = {canonical_key(n, list(g.edges), intern) for g in trees}
         assert len(keys) == count
+        labellings = sum(math.factorial(n) // automorphism_count(g) for g in trees)
+        assert labellings == n ** max(n - 2, 0)
 
 
 def test_prufer_decode_against_networkx():
@@ -130,19 +163,18 @@ def test_prufer_decode_against_networkx():
         assert mine == theirs
 
 
-def test_oracle_matches_enumeration():
+def test_degree_ordered_sequences_reach_every_class():
+    # the oracle's lemma: degree-ordered sequences reach exactly the classes
+    # of the full scan, and there are A005651(n - 2) of them
     for n in range(2, 8):
-        oracle = {canonical_code(g) for g in prufer_oracle_trees(n)}
-        direct = {canonical_code(g) for g in enumerate_free_trees(n)}
-        assert oracle == direct
-
-
-def test_oracle_range_split_merges_to_full():
-    for n in (5, 6, 7):
-        total = n ** (n - 2)
-        cuts = sorted({0, total // 3, (2 * total) // 3, total})
-        merged = set()
-        for a, b in zip(cuts, cuts[1:]):
-            merged |= {canonical_code(g) for g in prufer_oracle_trees(n, (a, b))}
-        assert merged == {canonical_code(g) for g in enumerate_free_trees(n)}
-
+        intern: dict[tuple[int, ...], int] = {}
+        full = {
+            canonical_key(n, prufer_to_edges(seq, n), intern)
+            for seq in itertools.product(range(n), repeat=n - 2)
+        }
+        ordered = {
+            canonical_key(n, prufer_to_edges(seq, n), intern) for seq in degree_ordered_sequences(n)
+        }
+        assert ordered == full
+    counts = [sum(1 for _ in degree_ordered_sequences(n)) for n in range(2, 10)]
+    assert counts == [1, 1, 3, 10, 47, 246, 1602, 11481]
