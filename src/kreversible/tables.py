@@ -21,23 +21,25 @@ the axes outside the union, so the successor table (which starts as the
 identity; flip bits of different vertices never overlap) takes it with one
 in-place XOR and the energy table with one in-place add. A slot of degree
 below k in every graph never flips, since op_v <= deg(v), so there only the
-energy is added. The energy is summed in int16 when its bound allows and
-widened to int64 once at the end. state_tables(g, k) is the chunk of one,
-whose union is N[v]: no other temporary spans the whole space unless N[v]
-holds every high bit.
+energy is added. The energy is summed, and kept, in int16 when its bound
+n*max(k, n) allows, else in int64; state_tables(g, k) is the chunk of one,
+widened to int64, whose union is N[v]: no other temporary spans the whole
+space unless N[v] holds every high bit.
 
 The sweep takes a chunk of graphs with one vertex count and runs the starts
 of every graph in one loop over the chunk's tables, so numpy's per-call cost
-is paid once per chunk, not once per graph. A chunk's tables take at most
-CHUNK_TABLE_BYTES at 12 bytes per state; sweep(g, k) is the chunk of one
-graph. The loop compacts nothing per step: each start counts tau as its
-steps with x(t) != x(t+2), a count that stops once x(t) = x(t+2) puts x(t)
-on the cycle for good. Closed starts stay in the active arrays until at most
+is paid once per chunk, not once per graph. A chunk takes at most
+CHUNK_TABLE_BYTES at a budget of 12 bytes per state; sweep(g, k) is the
+chunk of one graph. The loop reads the energy table at its summing width
+and keeps positions in uint32, so a step gathers 2 bytes of energy per
+start for small k. The loop compacts nothing per step: each start counts
+tau as its steps with x(t) != x(t+2), a count that stops once x(t) = x(t+2)
+puts x(t) on the cycle for good. Closed starts stay in the active arrays until at most
 half of them are still open; then the closed ones are written out, tau and
 x(tau), and dropped. Each such pass at least halves the active set, so the
 compaction costs O(starts) in all. The period (1 iff x(tau) is a fixed
 point) and the plateau energy E(x(tau)) are read from x(tau) once the loop
-is done.
+is done, the energy widened to int64 as it is read.
 
 Invariants are checked as the sweep runs, for each graph of a chunk —
 energy monotone over all 2^n transitions, transient within the graph's own
@@ -59,29 +61,35 @@ from .dynamics import Configuration, _check_k
 from .errors import InternalInvariantError, invariant_violation
 from .graphs import Graph
 
-# The tables take 4 + 8 bytes per state, 2^25 * 12 B = 384 MiB at the cap.
-# Building them allocates no other array that wide on sparse graphs, apart
-# from a 2-byte energy partial sum for small k: the tables of a 22-vertex
-# tree peak at 90 MiB RSS, 48 MiB of them the tables. Refuse anything bigger.
+# The tables take 4 + 2 bytes per state while n * max(k, n) fits in int16,
+# 2^25 * 6 B = 192 MiB at the cap, and 4 + 8 bytes for larger k. Building
+# them allocates no other array that wide on sparse graphs: the tables of a
+# 22-vertex path peak at 54 MiB RSS, 24 MiB of them the tables. Refuse
+# anything bigger.
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
-# tables, which take at most this many bytes: 5 trees at n = 13, 2 at n = 14,
-# and from n = 15 on a chunk is a single graph. The loop's other arrays take
-# about three times the tables' bytes, so the whole stays in a 2 MiB L2 cache
-# and adds under 1 MiB to the peak RSS of an n = 13 run.
+# tables. Sized at a budget of 12 bytes per state (the tables take 6 of them
+# for small k, 12 for large k), a chunk holds 5 trees at n = 13, 2 at
+# n = 14, and from n = 15 on a single graph. The loop's own arrays take
+# about 15 bytes per state (30 per start, which is half a state space), so
+# the whole stays in a 2 MiB L2 cache and adds under 1 MiB to the peak RSS
+# of an n = 13 run.
 CHUNK_TABLE_BYTES = 512 << 10
 
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(successor, energy) arrays over all 2^n packed configurations."""
-    return chunk_tables([g], k)
+    """(successor, energy) arrays over all 2^n packed configurations, the
+    energy in int64."""
+    succ, energy = chunk_tables([g], k)
+    return succ, energy.astype(np.int64, copy=False)
 
 
 def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays of graphs with one vertex count, built
     together: state x of graph i is i << n | x, and its successor carries
-    the same offset."""
+    the same offset. The energy is int16 when n * max(k, n) fits it, else
+    int64."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("a chunk takes graphs with one vertex count")
@@ -100,9 +108,9 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
     full = np.uint32((1 << n) - 1)
     # each term |op_v - k| is at most max(k, n), so every partial sum of a
     # state's energy fits in int16 whenever n * max(k, n) does
-    partial = np.int16 if n * max(k, n) <= np.iinfo(np.int16).max else np.int64
+    width = np.int16 if n * max(k, n) <= np.iinfo(np.int16).max else np.int64
     succ = np.arange(len(graphs) << n, dtype=np.uint32)
-    energy = np.zeros(len(graphs) << n, dtype=partial)
+    energy = np.zeros(len(graphs) << n, dtype=width)
     succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
     slot_masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint32).T
     for v, masks in enumerate(slot_masks):
@@ -114,11 +122,11 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
         # neighbors disagreeing with v: complement the state word where v is
         # +1; graph i's mask, a column on the graph axis, broadcasts over states
         discord = (states ^ (sign_v * full)) & masks.reshape((-1,) + (1,) * (high + 1))
-        op = np.bitwise_count(discord).astype(partial)  # k and op - k fit it too
+        op = np.bitwise_count(discord).astype(width)  # k and op - k fit it too
         if int(np.bitwise_count(masks).max()) >= k:  # else op <= degree < k: v never flips
             succ_view ^= (op >= k) * np.uint32(1 << v)
         energy_view += np.abs(op - k)
-    return succ, energy.astype(np.int64, copy=False)
+    return succ, energy
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +143,7 @@ class SweepResult:
 
 def chunk_size(n: int) -> int:
     """How many n-vertex graphs one sweep_chunk call takes: as many as fit
-    their tables in CHUNK_TABLE_BYTES at 12 bytes per state, at least one."""
+    CHUNK_TABLE_BYTES at a budget of 12 bytes per state, at least one."""
     return max(1, CHUNK_TABLE_BYTES // (12 << n))
 
 
@@ -177,8 +185,8 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     # per active start: its position, x(t), x(t+1), x(t+2), E(x(t)), the
     # steps t' < t with x(t') != x(t'+2), and the run of transient steps with
     # constant energy that ends at t
-    pos = np.arange(m)
-    x0 = (2 * pos + 1).astype(np.uint32)  # graph i's start j, i << n | j << 1 | 1
+    pos = np.arange(m, dtype=np.uint32)  # m <= 2^24 at MAX_TABLE_VERTICES
+    x0 = 2 * pos + np.uint32(1)  # graph i's start j, i << n | j << 1 | 1
     start = x0[:half].copy()  # graph 0's states are its own bits
     start.flags.writeable = False  # shared by every graph's result
     x1 = np.take(succ, x0)
@@ -227,8 +235,8 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
                 )
 
     periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
-    plateaus = np.take(energy, cycle)
-    del succ, energy, cycle  # free the tables (48 MiB at n = 22) before widening taus
+    plateaus = np.take(energy, cycle).astype(np.int64, copy=False)  # _result adds n - 1
+    del succ, energy, cycle  # free the tables (24 MiB at n = 22) before widening taus
     taus = taus.astype(np.int64)
     return [
         SweepResult(n, k, start, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])

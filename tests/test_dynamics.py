@@ -18,6 +18,7 @@ from kreversible import (
     run_trajectory,
     step,
     enumerate_free_trees,
+    max_transient_search,
     state_tables,
     sweep,
 )
@@ -293,6 +294,28 @@ def test_sweep_matches_scalar_trajectories():
             assert r.plateau_energy == res.plateau_energies[i]
 
 
+def test_sweep_across_the_int16_energy_boundary():
+    # the largest k whose energies the engine keeps in int16 and the smallest
+    # it keeps in int64: results match the scalar engine and are int64 either way
+    rng = random.Random(73)
+    graphs = [crossing_path(12), random_connected_graph(rng, 12), random_tree(rng, 12)]
+    top16 = np.iinfo(np.int16).max // 12
+    for k in (top16, top16 + 1):
+        for g, chunked in zip(graphs, tables.sweep_chunk(graphs, k)):
+            res = sweep(g, k)
+            assert_same_sweep(chunked, res)
+            for field in ("taus", "periods", "plateau_energies"):
+                assert getattr(res, field).dtype == np.int64, field
+            for i, bits in enumerate(res.start_bits.tolist()):
+                r = run_trajectory(g, Configuration(g.n, bits), k)
+                assert (r.tau, r.period, r.plateau_energy) == (
+                    res.taus[i], res.periods[i], res.plateau_energies[i])
+    # plateau + n - 1 passes the int16 range: the bound check must not wrap
+    tree = graphs[2]
+    assert max_transient_search(tree, top16).tau_max == 0
+    assert int(sweep(tree, top16).plateau_energies.max()) + tree.n - 1 > np.iinfo(np.int16).max
+
+
 def test_sweep_full_space_doubles_half_space():
     rng = random.Random(61)
     for _ in range(10):
@@ -420,7 +443,9 @@ def assert_chunk_tables_split(graphs, k):
     own tables bit for bit."""
     n = graphs[0].n
     succ, energy = tables.chunk_tables(graphs, k)
-    assert succ.dtype == np.uint32 and energy.dtype == np.int64
+    # energies are summed and kept in int16 exactly while n * max(k, n) fits
+    fits16 = n * max(k, n) <= np.iinfo(np.int16).max
+    assert succ.dtype == np.uint32 and energy.dtype == (np.int16 if fits16 else np.int64)
     assert succ.shape == energy.shape == (len(graphs) << n,)
     for i, g in enumerate(graphs):
         part = slice(i << n, (i + 1) << n)
