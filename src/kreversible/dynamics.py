@@ -23,7 +23,10 @@ from typing import NamedTuple
 from .errors import ParseError, invariant_violation
 from .graphs import Graph
 
-_STATE_CHARS = {"+": 1, "1": 1, "-": 0, "0": 0}
+# binary digits, least significant first, to state characters and back
+_TO_STATES = str.maketrans("10", "+-")
+_TO_DIGITS = str.maketrans("+-", "10")
+_STATE_CHARS = str.maketrans(dict.fromkeys("+-10"))  # deletes every legal character
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class Configuration:
         return Configuration(self.n, self.bits ^ ((1 << self.n) - 1))
 
     def to_string(self) -> str:
-        return "".join("+" if (self.bits >> i) & 1 else "-" for i in range(self.n))
+        return f"{self.bits:0{self.n}b}"[::-1].translate(_TO_STATES)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -70,12 +73,12 @@ def parse_config(text: str, n: int) -> Configuration:
     s = text.strip()
     if len(s) != n:
         raise ParseError(f"configuration has {len(s)} characters, expected {n}")
-    bits = 0
-    for i, c in enumerate(s):
-        if c not in _STATE_CHARS:
-            raise ParseError(f"illegal configuration character {c!r} at position {i + 1}")
-        bits |= _STATE_CHARS[c] << i
-    return Configuration(n, bits)
+    illegal = s.translate(_STATE_CHARS)
+    if illegal:  # the first illegal character occurs nowhere before its position
+        c = illegal[0]
+        raise ParseError(f"illegal configuration character {c!r} at position {s.index(c) + 1}")
+    # a leading zero keeps n = 0 an error of Configuration, not of int
+    return Configuration(n, int("0" + s[::-1].translate(_TO_DIGITS), 2))
 
 
 def _check_compatible(g: Graph, x: Configuration) -> None:

@@ -96,10 +96,14 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
             op_sum_s2 += op
             deltas.append(2 * (op_next - k) if op_next >= k else 0)
 
+    # states and S1 membership per vertex, unpacked once rather than shifted
+    # out of the n-bit ints per edge
+    state = f"{bits:0{g.n}b}"[::-1]
+    in_s1 = [op >= k for op in ops]
     by_ends_in_s1 = [0, 0, 0]  # discordant edges with 0, 1 or 2 ends in S1
     for u, v in g.edges:
-        if (bits >> u ^ bits >> v) & 1:
-            by_ends_in_s1[(s1 >> u & 1) + (s1 >> v & 1)] += 1
+        if state[u] != state[v]:
+            by_ends_in_s1[in_s1[u] + in_s1[v]] += 1
     b, c, a = by_ends_in_s1
 
     if e_aux != e_now:
@@ -112,7 +116,7 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
         raise invariant_violation(g, k, x, "per-vertex deltas do not sum to the energy difference")
     if min(deltas) < 0:
         raise invariant_violation(g, k, x, "negative per-vertex energy contribution")
-    s1_set = frozenset(v for v, op in enumerate(ops) if op >= k)
+    s1_set = frozenset(v for v, inside in enumerate(in_s1) if inside)
     return EnergyBreakdown(
         op_now=tuple(ops),
         op_next=tuple(ops_next),

@@ -9,8 +9,12 @@ expected pattern: tau_max = n - 3 and n/2 extremal trees for even n,
 and their negations, replayed through run_trajectory; for one tree,
 max_transient_search replays every start it returns.
 
-Trees are swept in chunks of same-size trees (tables.sweep_chunk), each
-tree with the canonical code it got when it was enumerated. The chunks are
+Trees are swept in chunks of same-size trees (tables.sweep_chunk). The main
+process hands out chunks of canonical level sequences; the process that
+searches a chunk (_search, in a pool worker or in-process for one worker)
+builds each tree and its canonical code, sweeps the trees the ledger does
+not hold and makes their ledger lines. The main process keeps the trees at
+the highest tau_max and writes the lines it receives. The chunks are
 embarrassingly parallel; results are merged by canonical code, so reports
 are byte-identical regardless of worker count.
 An append-only JSONL checkpoint ledger makes long runs resumable: completed
@@ -36,9 +40,12 @@ from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, is_tree
 from .tables import SweepResult, chunk_size, sweep, sweep_chunk
-from .trees import canonical_code, enumerate_free_trees
+from .trees import _graph_from_levels, canonical_code, free_tree_levels
 
 DEFAULT_EXHAUSTIVE_LIMIT = 16
+# chunks per pool message; a chunk's tables fill CHUNK_TABLE_BYTES at any n,
+# so this is a near-constant amount of work per message
+CHUNKS_PER_MESSAGE = 8
 
 
 @dataclass(frozen=True)
@@ -135,13 +142,46 @@ def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
     return SearchResult(tree, code, k, tau_max, starts)
 
 
-def _search(task: tuple[tuple[tuple[Graph, str], ...], int]) -> list[SearchResult]:
-    """Step 1 for a chunk of same-n enumerated trees, each with its canonical
-    code: one sweep for the chunk, then each tree's result, in order. The
-    pool's entry point; the trees are in scope by construction."""
-    chunk, k = task
-    sweeps = sweep_chunk([tree for tree, _ in chunk], k)
-    return [_result(tree, code, k, res) for (tree, code), res in zip(chunk, sweeps)]
+# codes of the trees the loaded ledger holds, which _search skips; set in
+# each pool worker by the Pool initializer, and in-process for one worker
+_skip: frozenset[str] = frozenset()
+
+
+def _skip_codes(codes: frozenset[str]) -> None:
+    global _skip
+    _skip = codes
+
+
+def _start_worker(codes: frozenset[str]) -> None:
+    """Pool initializer. Besides the codes to skip, it frees one 16 MiB
+    array, never touched: glibc raises its mmap threshold to the size of a
+    freed mapped block, and its heap-trim threshold to twice that, so the
+    sweep's arrays are then reused from the heap. Without it, each message
+    boundary lets the heap be trimmed, and at n = 16 the next sweeps fault
+    their pages in again (about 400 page faults a tree, a quarter of the
+    worker's time)."""
+    _skip_codes(codes)
+    np.empty(16 << 20, dtype=np.uint8)
+
+
+def _search(task: tuple[tuple[bytes, ...], int, bool]) -> list[tuple[SearchResult, str | None]]:
+    """Step 1 for a chunk of same-n trees, given as level sequences: each
+    tree's Graph and canonical code, one sweep for the trees the ledger does
+    not hold, then each result, in order, with its ledger line if lines are
+    written (else None). The pool's entry point; the trees are in scope by
+    construction."""
+    chunk, k, write_lines = task
+    pending = []
+    for levels in chunk:
+        tree = _graph_from_levels(levels)
+        code = canonical_code(tree).hex()
+        if code not in _skip:
+            pending.append((tree, code))
+    if not pending:
+        return []
+    sweeps = sweep_chunk([tree for tree, _ in pending], k)
+    results = [_result(tree, code, k, res) for (tree, code), res in zip(pending, sweeps)]
+    return [(r, _ledger_line(r) if write_lines else None) for r in results]
 
 
 def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False) -> None:
@@ -349,32 +389,31 @@ def verify_conjecture(
     try:
         for result in done.values():
             keep(result)
-        # trees are enumerated as chunks are taken: a one-worker run holds
-        # only the chunk in hand, and pool workers fork before any tree exists
-        pending = (
-            (tree, code)
-            for tree in enumerate_free_trees(n)
-            if (code := canonical_code(tree).hex()) not in done
-        )
+        # level sequences are taken from the generator as chunks are handed
+        # out, and the workers build the trees, their codes and ledger lines
+        levels = map(bytes, free_tree_levels(n))
         size = chunk_size(n)
-        tasks = ((chunk, k) for chunk in iter(lambda: tuple(islice(pending, size)), ()))
+        chunks = iter(lambda: tuple(islice(levels, size)), ())
+        tasks = ((chunk, k, ledger is not None) for chunk in chunks)
 
-        def collect(chunks) -> None:
-            for result in chain.from_iterable(chunks):
+        def collect(batches) -> None:
+            for result, line in chain.from_iterable(batches):
                 keep(result)
                 if ledger is not None:
-                    ledger.write(_ledger_line(result) + "\n")
+                    ledger.write(line + "\n")
                     ledger.flush()
 
         if workers == 1:
-            collect(map(_search, tasks))
+            _skip_codes(frozenset(done))
+            try:
+                collect(map(_search, tasks))
+            finally:
+                _skip_codes(frozenset())
         else:
-            with Pool(processes=workers) as pool:
+            with Pool(workers, initializer=_start_worker, initargs=(frozenset(done),)) as pool:
                 # a message per chunk would cost more than a small chunk's
                 # sweep, so each worker takes a batch of chunks at a time
-                tasks = list(tasks)
-                batch = max(1, len(tasks) // (8 * workers))
-                collect(pool.imap_unordered(_search, tasks, chunksize=batch))
+                collect(pool.imap_unordered(_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
     finally:
         if ledger is not None:
             ledger.close()

@@ -6,8 +6,9 @@ code iff they are isomorphic. An optional 0/1 coloring makes the code
 canonical under color-preserving isomorphism, which is how configuration
 orbits on a tree are counted.
 
-enumerate_free_trees generates every unlabeled tree exactly once via the
-canonical level-sequence successor method.
+free_tree_levels generates every unlabeled tree exactly once, as its
+canonical level sequence, by the successor method; enumerate_free_trees
+builds the Graph of each.
 """
 
 from __future__ import annotations
@@ -155,19 +156,25 @@ def _graph_from_levels(levels: list[int]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """Yield exactly one Graph per isomorphism class of trees on n vertices."""
+def free_tree_levels(n: int) -> Iterator[list[int]]:
+    """Yield the canonical level sequence of every unlabeled tree on n
+    vertices, once each; _graph_from_levels turns one into its Graph."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    return _enumerate_free_trees(n)
+    return _free_tree_levels(n)
 
 
-def _enumerate_free_trees(n: int) -> Iterator[Graph]:
+def _free_tree_levels(n: int) -> Iterator[list[int]]:
     if n == 1:
-        yield Graph.from_edges(1, [])
+        yield [0]
         return
     levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         levels = _free_tree_fixup(levels)
-        yield _graph_from_levels(levels)
+        yield levels
         levels = _rooted_successor(levels)
+
+
+def enumerate_free_trees(n: int) -> Iterator[Graph]:
+    """Yield exactly one Graph per isomorphism class of trees on n vertices."""
+    return map(_graph_from_levels, free_tree_levels(n))

@@ -15,6 +15,7 @@ import pytest
 from kreversible import (
     canonical_code,
     extremal,
+    tables,
     generate_extremal_family,
     parse_edge_list,
     verify_conjecture,
@@ -291,6 +292,29 @@ def test_conjecture_checkpoint_flag(capsys, tmp_path):
     )
     assert code == 0
     assert first == second
+
+
+def test_pooled_resume_matches_one_worker(capsys, monkeypatch, tmp_path):
+    # chunks of two trees, so the 106 trees on 10 vertices reach the two
+    # workers in several messages, in an order that varies between runs
+    monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", 2 * 12 << 10)
+    code, single, _ = run_cli(capsys, "conjecture", "--n", "10", "--format", "json")
+    assert code == 0
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ("conjecture", "--n", "10", "--workers", "2", "--checkpoint", str(ledger))
+    code, fresh, _ = run_cli(capsys, *argv, "--format", "json")
+    assert (code, fresh) == (0, single)
+    lines = ledger.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len({json.loads(line)["code"] for line in lines}) == 106
+    half = len(lines) // 2
+    ledger.write_bytes(b"".join(line + b"\n" for line in lines[:half]) + lines[half][:40])
+    code, resumed, _ = run_cli(capsys, *argv, "--format", "json")
+    assert (code, resumed) == (0, single)
+    healed = ledger.read_bytes().split(b"\n")
+    assert healed.pop() == b""
+    assert healed[:half] == lines[:half]
+    assert sorted(healed) == sorted(lines)  # one line per tree, each as first written
 
 
 def test_generate_verify(capsys):

@@ -48,6 +48,56 @@ def test_parse_config_errors():
         parse_config("+x+", 3)
 
 
+def per_character_string(x: Configuration) -> str:
+    """Configuration.to_string as a loop over the vertices."""
+    return "".join("+" if (x.bits >> i) & 1 else "-" for i in range(x.n))
+
+
+def per_character_parse(text: str, n: int) -> Configuration:
+    """parse_config as a loop over the characters."""
+    s = text.strip()
+    if len(s) != n:
+        raise ParseError(f"configuration has {len(s)} characters, expected {n}")
+    bits = 0
+    for i, c in enumerate(s):
+        if c not in "+-10":
+            raise ParseError(f"illegal configuration character {c!r} at position {i + 1}")
+        bits |= (c in "+1") << i
+    return Configuration(n, bits)
+
+
+def parse_error(text: str, n: int, parse) -> str:
+    with pytest.raises(ParseError) as exc:
+        parse(text, n)
+    return str(exc.value)
+
+
+def test_config_strings_match_the_per_character_definition():
+    digits = str.maketrans("+-", "10")
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            x = Configuration(n, bits)
+            text = x.to_string()
+            assert text == per_character_string(x)
+            assert parse_config(text, n) == x
+            assert parse_config(text.translate(digits), n) == x
+    # an illegal character at every position, with a second one after it:
+    # int() would take "_" between digits, and "٠" is a Unicode digit zero
+    rng = random.Random(5)
+    for n in range(1, 13):
+        for position in range(n):
+            for bad in ("x", "2", "_", " ", "\t", "٠", "−", "é"):
+                chars = list(rng.choice("+-10") for _ in range(n))
+                chars[position] = bad
+                if position + 1 < n:
+                    chars[rng.randrange(position + 1, n)] = "?"
+                text = "".join(chars)
+                expected = parse_error(text, n, per_character_parse)
+                assert parse_error(text, n, parse_config) == expected
+                if bad.strip():
+                    assert expected.endswith(f"{bad!r} at position {position + 1}")
+
+
 def test_configuration_round_trips():
     x = Configuration.from_states([1, -1, -1, 1])
     assert x.bits == 0b1001

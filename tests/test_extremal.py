@@ -26,7 +26,7 @@ from kreversible import (
 from kreversible import extremal, tables
 from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
-from kreversible.trees import canonical_code
+from kreversible.trees import _graph_from_levels, canonical_code, free_tree_levels
 
 
 def path_graph(n: int) -> Graph:
@@ -326,15 +326,22 @@ def test_report_json_shape():
 
 def test_pool_worker_entrypoint_is_importable():
     # the pool path pickles the worker by qualified name; a task is a chunk
-    # of enumerated (tree, canonical code) pairs and k
+    # of level sequences as bytes, k, and whether to return ledger lines
     from kreversible.extremal import _search
 
     assert pickle.loads(pickle.dumps(_search)) is _search
-    chunk = tuple((g, canonical_code(g).hex()) for g in [path_graph(5), *enumerate_free_trees(5)])
-    out = _search(pickle.loads(pickle.dumps((chunk, 2))))
-    assert all(isinstance(r, SearchResult) for r in out)
-    assert [(r.tree, r.tree_code) for r in out] == list(chunk)
-    assert out[0].tau_max == 2
+    chunk = (bytes(range(5)), *map(bytes, free_tree_levels(5)))  # a 5-path rooted at an end first
+    trees = [_graph_from_levels(levels) for levels in chunk]
+    assert trees[0] == path_graph(5)
+    for write_lines in (False, True):
+        out = _search(pickle.loads(pickle.dumps((chunk, 2, write_lines))))
+        assert all(isinstance(r, SearchResult) for r, _ in out)
+        assert [(r.tree, r.tree_code) for r, _ in out] == [
+            (tree, canonical_code(tree).hex()) for tree in trees
+        ]
+        lines = [extremal._ledger_line(r) if write_lines else None for r, _ in out]
+        assert [line for _, line in out] == lines
+    assert out[0][0].tau_max == 2
 
 
 def test_canonical_code_once_per_enumerated_tree(monkeypatch):
@@ -374,6 +381,28 @@ def test_resume_from_a_ledger_cut_inside_a_chunk(monkeypatch, tmp_path):
         assert sorted(healed) == sorted(lines)
         if workers == 1:  # the same trees in the same order
             assert healed == lines
+
+
+def test_resume_sweeps_exactly_the_trees_missing_from_the_ledger(monkeypatch, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    verify_conjecture(9, checkpoint_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    kept = lines[1::3]  # not a prefix of the enumeration order
+    path.write_text("".join(kept))
+    swept = []
+    real = extremal.sweep_chunk
+
+    def recording(graphs, k):
+        swept.extend(canonical_code(g).hex() for g in graphs)
+        return real(graphs, k)
+
+    monkeypatch.setattr(extremal, "sweep_chunk", recording)
+    verify_conjecture(9, checkpoint_path=path)
+    codes = {json.loads(line)["code"] for line in lines}
+    held = {json.loads(line)["code"] for line in kept}
+    assert len(swept) == len(set(swept)) == len(codes) - len(held)
+    assert set(swept) == codes - held
+    assert sorted(path.read_text().splitlines(keepends=True)) == sorted(lines)
 
 
 def test_orbit_codes_only_for_reported_configurations(monkeypatch):
@@ -426,13 +455,13 @@ def test_every_attaining_start_replays_for_n_up_to_11():
     replays = 0
     for n in range(1, 12):
         for k in (1, 2, 3):
-            chunk = tuple((tree, canonical_code(tree).hex()) for tree in enumerate_free_trees(n))
-            for (tree, _), found in zip(chunk, extremal._search((chunk, k))):
+            chunk = tuple(map(bytes, free_tree_levels(n)))
+            for found, _ in extremal._search((chunk, k, False)):
                 for bits, period in found.starts:
                     x = Configuration(n, bits)
                     for probe in (x, x.negate()):
-                        run = run_trajectory(tree, probe, k)
-                        assert (run.tau, run.period) == (found.tau_max, period), (tree, k, probe)
+                        run = run_trajectory(found.tree, probe, k)
+                        assert (run.tau, run.period) == (found.tau_max, period), (n, k, probe)
                         replays += 1
     assert replays == 168_346
 
