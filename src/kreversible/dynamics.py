@@ -26,7 +26,7 @@ from .graphs import Graph
 # binary digits, least significant first, to state characters and back
 _TO_STATES = str.maketrans("10", "+-")
 _TO_DIGITS = str.maketrans("+-", "10")
-_STATE_CHARS = str.maketrans(dict.fromkeys("+-10"))  # deletes every legal character
+_DROP_LEGAL = str.maketrans(dict.fromkeys("+-10"))  # what is left of a string is illegal
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def parse_config(text: str, n: int) -> Configuration:
     s = text.strip()
     if len(s) != n:
         raise ParseError(f"configuration has {len(s)} characters, expected {n}")
-    illegal = s.translate(_STATE_CHARS)
+    illegal = s.translate(_DROP_LEGAL)
     if illegal:  # the first illegal character occurs nowhere before its position
         c = illegal[0]
         raise ParseError(f"illegal configuration character {c!r} at position {s.index(c) + 1}")

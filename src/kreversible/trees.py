@@ -145,7 +145,7 @@ def _free_tree_fixup(levels: list[int]) -> list[int]:
     raise InternalInvariantError("free-tree fixup did not converge")
 
 
-def _graph_from_levels(levels: list[int]) -> Graph:
+def _graph_from_levels(levels: Sequence[int]) -> Graph:
     n = len(levels)
     edges: list[Edge] = []
     last_at_level = [0] * (max(levels) + 1)
