@@ -336,7 +336,8 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
             for field in ("n", "k"):  # 7.0 and true equal 7 and 1 in the check above
                 _json_int(entry[field])
             code, tau_max = entry["code"], _json_int(entry["tau_max"])
-            tree = Graph.from_edges(n, [(u - 1, v - 1) for u, v in entry["edges"]])
+            edges = [(_json_int(u) - 1, _json_int(v) - 1) for u, v in entry["edges"]]
+            tree = Graph.from_edges(n, edges)
             starts = tuple((parse_config(c, n).bits, _json_int(p)) for c, p in entry["configs"])
             if not starts:  # every tree attains its own maximum somewhere
                 raise ValueError("no attaining configuration")

@@ -21,25 +21,29 @@ the axes outside the union, so the successor table (which starts as the
 identity; flip bits of different vertices never overlap) takes it with one
 in-place XOR and the energy table with one in-place add. A slot of degree
 below k in every graph never flips, since op_v <= deg(v), so there only the
-energy is added. The energy is summed, and kept, in int16 when its bound
-n*max(k, n) allows, else in int64; state_tables(g, k) is the chunk of one,
-widened to int64, whose union is N[v]: no other temporary spans the whole
-space unless N[v] holds every high bit.
+energy is added. state_tables(g, k) is the chunk of one, whose union is
+N[v]: no other temporary spans the whole space unless N[v] holds every high
+bit.
+
+For k >= n no vertex flips and each term is k - op_v, so E_k = E_n + n(k - n):
+the tables are summed at min(k, n), in int16 at every k, and n*max(0, k - n)
+is added only where energies leave this module (state_tables, the plateau
+energies, the violation messages).
 
 The sweep takes a chunk of graphs with one vertex count and runs the starts
 of every graph in one loop over the chunk's tables, so numpy's per-call cost
 is paid once per chunk, not once per graph. A chunk takes at most
 CHUNK_TABLE_BYTES at a budget of 12 bytes per state; sweep(g, k) is the
-chunk of one graph. The loop reads the energy table at its summing width
-and keeps positions in uint32, so a step gathers 2 bytes of energy per
-start for small k. The loop compacts nothing per step: each start counts
-tau as its steps with x(t) != x(t+2), a count that stops once x(t) = x(t+2)
-puts x(t) on the cycle for good. Closed starts stay in the active arrays until at most
+chunk of one graph. The loop reads the int16 energy table and keeps
+positions in uint32, so a step gathers 2 bytes of energy per start. The
+loop compacts nothing per step: each start counts tau as its steps with
+x(t) != x(t+2), a count that stops once x(t) = x(t+2) puts x(t) on the
+cycle for good. Closed starts stay in the active arrays until at most
 half of them are still open; then the closed ones are written out, tau and
 x(tau), and dropped. Each such pass at least halves the active set, so the
 compaction costs O(starts) in all. The period (1 iff x(tau) is a fixed
 point) and the plateau energy E(x(tau)) are read from x(tau) once the loop
-is done, the energy widened to int64 as it is read.
+is done, the energy widened to int64 as it is read and offset for k > n.
 
 Invariants are checked as the sweep runs, for each graph of a chunk —
 energy monotone over all 2^n transitions, transient within the graph's own
@@ -61,20 +65,18 @@ from .dynamics import Configuration, _check_k
 from .errors import InternalInvariantError, invariant_violation
 from .graphs import Graph
 
-# The tables take 4 + 2 bytes per state while n * max(k, n) fits in int16,
-# 2^25 * 6 B = 192 MiB at the cap, and 4 + 8 bytes for larger k. Building
-# them allocates no other array that wide on sparse graphs: the tables of a
-# 22-vertex path peak at 54 MiB RSS, 24 MiB of them the tables. Refuse
-# anything bigger.
+# The tables take 4 + 2 bytes per state at every k, 2^25 * 6 B = 192 MiB at
+# the cap. Building them allocates no other array that wide on sparse
+# graphs: the tables of a 22-vertex path peak at 54 MiB RSS, 24 MiB of them
+# the tables. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
-# tables. Sized at a budget of 12 bytes per state (the tables take 6 of them
-# for small k, 12 for large k), a chunk holds 5 trees at n = 13, 2 at
-# n = 14, and from n = 15 on a single graph. The loop's own arrays take
-# about 15 bytes per state (30 per start, which is half a state space), so
-# the whole stays in a 2 MiB L2 cache and adds under 1 MiB to the peak RSS
-# of an n = 13 run.
+# tables. Sized at a budget of 12 bytes per state (the tables take 6 of
+# them), a chunk holds 5 trees at n = 13, 2 at n = 14, and from n = 15 on a
+# single graph. The loop's own arrays take about 15 bytes per state (30 per
+# start, which is half a state space), so the whole stays in a 2 MiB L2
+# cache and adds under 1 MiB to the peak RSS of an n = 13 run.
 CHUNK_TABLE_BYTES = 512 << 10
 
 
@@ -82,14 +84,14 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays over all 2^n packed configurations, the
     energy in int64."""
     succ, energy = chunk_tables([g], k)
-    return succ, energy.astype(np.int64, copy=False)
+    return succ, np.add(energy, g.n * max(0, k - g.n), dtype=np.int64)
 
 
 def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays of graphs with one vertex count, built
     together: state x of graph i is i << n | x, and its successor carries
-    the same offset. The energy is int16 when n * max(k, n) fits it, else
-    int64."""
+    the same offset. The energy is int16, summed at min(k, n): E_k less
+    n * max(0, k - n)."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("a chunk takes graphs with one vertex count")
@@ -99,6 +101,7 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
     if n * (k + 1) > np.iinfo(np.int64).max:
         # energies and the transient bound n*(k+1) - 1 are int64
         raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")
+    k = min(k, n)  # op_v < n: from k = n on no vertex flips, and each term grows by 1 with k
     low = n // 2
     high = n - low
     shape = (len(graphs),) + (2,) * high + (1 << low,)
@@ -106,11 +109,8 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
     high_bits = high_bits.reshape((2,) * high + (1,))
     low_bits = np.arange(1 << low, dtype=np.uint32)
     full = np.uint32((1 << n) - 1)
-    # each term |op_v - k| is at most max(k, n), so every partial sum of a
-    # state's energy fits in int16 whenever n * max(k, n) does
-    width = np.int16 if n * max(k, n) <= np.iinfo(np.int16).max else np.int64
     succ = np.arange(len(graphs) << n, dtype=np.uint32)
-    energy = np.zeros(len(graphs) << n, dtype=width)
+    energy = np.zeros(len(graphs) << n, dtype=np.int16)  # each term |op_v - k| <= n
     succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
     slot_masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint32).T
     for v, masks in enumerate(slot_masks):
@@ -122,7 +122,7 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
         # neighbors disagreeing with v: complement the state word where v is
         # +1; graph i's mask, a column on the graph axis, broadcasts over states
         discord = (states ^ (sign_v * full)) & masks.reshape((-1,) + (1,) * (high + 1))
-        op = np.bitwise_count(discord).astype(width)  # k and op - k fit it too
+        op = np.bitwise_count(discord).astype(np.int16)
         if int(np.bitwise_count(masks).max()) >= k:  # else op <= degree < k: v never flips
             succ_view ^= (op >= k) * np.uint32(1 << v)
         energy_view += np.abs(op - k)
@@ -163,6 +163,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     """
     n = graphs[0].n
     succ, energy = chunk_tables(graphs, k)
+    offset = n * max(0, k - n)  # E_k - E_min(k, n), for the energies that leave
 
     def violation(state, what: str) -> InternalInvariantError:
         g = graphs[int(state) >> n]
@@ -172,7 +173,9 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     if np.any(decreased):
         x = int(np.argmax(decreased))
         raise violation(
-            x, f"energy decreased across a transition, {energy[x]} -> {energy[succ[x]]}"
+            x,
+            "energy decreased across a transition, "
+            f"{int(energy[x]) + offset} -> {int(energy[succ[x]]) + offset}",
         )
 
     budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
@@ -234,8 +237,13 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
                     f"sweep exceeded the proven {budget}-step transient budget",
                 )
 
+    # free the loop's arrays, still full width if every start closed at once,
+    # as when no vertex flips
+    del pos, x0, x1, x2, e0, tau, run, open_, closed, done
     periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
-    plateaus = np.take(energy, cycle).astype(np.int64, copy=False)  # _result adds n - 1
+    plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
+    if offset:  # in place: k < n makes no further full-width pass
+        plateaus += offset
     del succ, energy, cycle  # free the tables (24 MiB at n = 22) before widening taus
     taus = taus.astype(np.int64)
     return [

@@ -319,10 +319,13 @@ def test_state_tables_match_scalar_path():
     graphs += [crossing_path(11), crossing_path(12)]
     graphs += [random_connected_graph(rng, n) for n in (2, 3, 5, 7, 9, 10, 11, 12, 12)]
     for g in graphs:
-        # far above every degree: the largest k whose energies the engine sums
-        # in int16, the smallest it sums in int64, and one needing 64 bits
+        # either side of k = n, where the engine stops summing at k and adds
+        # n(k - n) instead; then far above every degree: the largest k with
+        # n * k in int16, the next, where a sum at k would wrap int16, and
+        # one whose energies need 64 bits
         top16 = np.iinfo(np.int16).max // g.n
-        for k in [*range(1, g.max_degree() + 2), top16, top16 + 1, 1 << 40]:
+        near_n = range(max(1, g.n - 1), g.n + 2)
+        for k in [*range(1, g.max_degree() + 2), *near_n, top16, top16 + 1, 1 << 40]:
             succ, energy = state_tables(g, k)
             assert succ.dtype == np.uint32 and energy.dtype == np.int64
             assert succ.shape == energy.shape == (1 << g.n,)
@@ -345,12 +348,15 @@ def test_sweep_matches_scalar_trajectories():
 
 
 def test_sweep_across_the_int16_energy_boundary():
-    # the largest k whose energies the engine keeps in int16 and the smallest
-    # it keeps in int64: results match the scalar engine and are int64 either way
+    # k = n - 1, n and n + 1, where the tables go from being summed at k to
+    # being summed at n and the sweep starts adding n(k - n) to the plateau
+    # energies; then the largest k with n * k in int16 and the next, whose
+    # plateau energies pass the int16 range: results match the scalar engine
+    # and are int64 at every k
     rng = random.Random(73)
     graphs = [crossing_path(12), random_connected_graph(rng, 12), random_tree(rng, 12)]
     top16 = np.iinfo(np.int16).max // 12
-    for k in (top16, top16 + 1):
+    for k in (11, 12, 13, top16, top16 + 1):
         for g, chunked in zip(graphs, tables.sweep_chunk(graphs, k)):
             res = sweep(g, k)
             assert_same_sweep(chunked, res)
@@ -402,6 +408,14 @@ def test_sweep_invariant_errors_name_edges_k_and_start(monkeypatch):
         with pytest.raises(InternalInvariantError) as caught:
             sweep(p4, 1)
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
+    # at k = 6 > n the tables hold E_k less n(k - n) = 8, and the message E_k
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: (succ, bumped))
+    with pytest.raises(InternalInvariantError) as caught:
+        sweep(p4, 6)
+    assert str(caught.value) == (
+        "edges=[[1, 2], [2, 3], [3, 4]] k=6 start +-+-: "
+        "energy decreased across a transition, 110 -> 10"
+    )
 
 
 def assert_same_sweep(chunked, alone):
@@ -490,18 +504,17 @@ def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
 
 def assert_chunk_tables_split(graphs, k):
     """Graph i's slice of the chunk's tables, less its i << n offset, is its
-    own tables bit for bit."""
+    own tables bit for bit, and its int16 energies plus n(k - n) for k > n
+    are its own int64 ones."""
     n = graphs[0].n
     succ, energy = tables.chunk_tables(graphs, k)
-    # energies are summed and kept in int16 exactly while n * max(k, n) fits
-    fits16 = n * max(k, n) <= np.iinfo(np.int16).max
-    assert succ.dtype == np.uint32 and energy.dtype == (np.int16 if fits16 else np.int64)
+    assert succ.dtype == np.uint32 and energy.dtype == np.int16
     assert succ.shape == energy.shape == (len(graphs) << n,)
     for i, g in enumerate(graphs):
         part = slice(i << n, (i + 1) << n)
         alone_succ, alone_energy = state_tables(g, k)
         assert np.array_equal(succ[part] - np.uint32(i << n), alone_succ)
-        assert np.array_equal(energy[part], alone_energy)
+        assert np.array_equal(energy[part].astype(np.int64) + n * max(0, k - n), alone_energy)
 
 
 def test_chunk_tables_match_each_graph_alone():
@@ -527,8 +540,8 @@ def test_chunk_tables_match_each_graph_alone():
         assert np.any(unions >> (n - high) == (1 << high) - 1)
         for k in (1, 2, 3, max(g.max_degree() for g in graphs) + 1):
             assert_chunk_tables_split(graphs, k)
-    # the largest k whose energies the engine sums in int16, the smallest it
-    # sums in int64, and one needing 64 bits
+    # far above every degree: the largest k with n * k in int16, the next,
+    # and one whose energies need 64 bits
     graphs = [crossing_path(12)] + [random_connected_graph(rng, 12) for _ in range(3)]
     top16 = np.iinfo(np.int16).max // 12
     for k in (top16, top16 + 1, 1 << 40):

@@ -175,10 +175,12 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
     fractional_tau = {**entry, "tau_max": entry["tau_max"] + 0.5}
     string_tau = {**entry, "tau_max": str(entry["tau_max"])}
     string_period = {**entry, "configs": [[c, str(p)] for c, p in entry["configs"]]}
+    assert [1, 2] in entry["edges"]
+    bool_endpoint = {**entry, "edges": [[True if u == 1 else u, v] for u, v in entry["edges"]]}
     for bad in (
         "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree),
         json.dumps(no_configs), json.dumps(float_n), json.dumps(fractional_tau),
-        json.dumps(string_tau), json.dumps(string_period),
+        json.dumps(string_tau), json.dumps(string_period), json.dumps(bool_endpoint),
     ):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
