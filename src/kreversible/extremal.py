@@ -13,10 +13,11 @@ Trees are swept in chunks of same-size trees (tables.sweep_chunk). The main
 process hands out chunks of canonical level sequences; the process that
 searches a chunk (_search, in a pool worker or in-process for one worker)
 builds each tree and its canonical code, sweeps the trees the ledger does
-not hold and makes their ledger lines. The main process keeps the trees at
-the highest tau_max and writes the lines it receives. The chunks are
-embarrassingly parallel; results are merged by canonical code, so reports
-are byte-identical regardless of worker count.
+not hold and makes their ledger lines. A one-worker search changes no module
+state, so searches in separate threads of one process do not interfere. The
+main process keeps the trees at the highest tau_max and writes the lines it
+receives; results are merged by canonical code, so reports are
+byte-identical regardless of worker count.
 An append-only JSONL checkpoint ledger makes long runs resumable: completed
 trees are skipped by canonical-code lookup, and a final line torn by a kill
 mid-write is dropped and truncated away before new results are appended.
@@ -142,14 +143,7 @@ def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
     return SearchResult(tree, code, k, tau_max, starts)
 
 
-# codes of the trees the loaded ledger holds, which _search skips; set in
-# each pool worker by the Pool initializer, and in-process for one worker
-_skip: frozenset[str] = frozenset()
-
-
-def _skip_codes(codes: frozenset[str]) -> None:
-    global _skip
-    _skip = codes
+_skip: frozenset[str] = frozenset()  # a pool worker's copy of the loaded ledger's codes
 
 
 def _start_worker(codes: frozenset[str]) -> None:
@@ -160,28 +154,37 @@ def _start_worker(codes: frozenset[str]) -> None:
     boundary lets the heap be trimmed, and at n = 16 the next sweeps fault
     their pages in again (about 400 page faults a tree, a quarter of the
     worker's time)."""
-    _skip_codes(codes)
+    global _skip
+    _skip = codes
     np.empty(16 << 20, dtype=np.uint8)
 
 
-def _search(task: tuple[tuple[bytes, ...], int, bool]) -> list[tuple[SearchResult, str | None]]:
+def _search(
+    task: tuple[tuple[bytes, ...], int, bool], skip: frozenset[str] = frozenset()
+) -> list[tuple[SearchResult, str | None]]:
     """Step 1 for a chunk of same-n trees, given as level sequences: each
-    tree's Graph and canonical code, one sweep for the trees the ledger does
-    not hold, then each result, in order, with its ledger line if lines are
-    written (else None). The pool's entry point; the trees are in scope by
-    construction."""
+    tree's Graph and canonical code, one sweep for the trees whose codes are
+    not in `skip`, then each result, in order, with its ledger line if lines
+    are written (else None). The trees are in scope by construction."""
     chunk, k, write_lines = task
     pending = []
     for levels in chunk:
         tree = _graph_from_levels(levels)
         code = canonical_code(tree).hex()
-        if code not in _skip:
+        if code not in skip:
             pending.append((tree, code))
     if not pending:
         return []
     sweeps = sweep_chunk([tree for tree, _ in pending], k)
     results = [_result(tree, code, k, res) for (tree, code), res in zip(pending, sweeps)]
     return [(r, _ledger_line(r) if write_lines else None) for r in results]
+
+
+def _pool_search(
+    task: tuple[tuple[bytes, ...], int, bool],
+) -> list[tuple[SearchResult, str | None]]:
+    """The pool's entry point: _search, skipping the codes _start_worker set."""
+    return _search(task, _skip)
 
 
 def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False) -> None:
@@ -404,17 +407,14 @@ def verify_conjecture(
                     ledger.write(line + "\n")
                     ledger.flush()
 
+        skip = frozenset(done)
         if workers == 1:
-            _skip_codes(frozenset(done))
-            try:
-                collect(map(_search, tasks))
-            finally:
-                _skip_codes(frozenset())
+            collect(_search(task, skip) for task in tasks)
         else:
-            with Pool(workers, initializer=_start_worker, initargs=(frozenset(done),)) as pool:
+            with Pool(workers, initializer=_start_worker, initargs=(skip,)) as pool:
                 # a message per chunk would cost more than a small chunk's
                 # sweep, so each worker takes a batch of chunks at a time
-                collect(pool.imap_unordered(_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
+                collect(pool.imap_unordered(_pool_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
     finally:
         if ledger is not None:
             ledger.close()

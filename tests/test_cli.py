@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -14,6 +15,7 @@ import pytest
 
 from kreversible import (
     canonical_code,
+    cli,
     extremal,
     tables,
     generate_extremal_family,
@@ -21,6 +23,7 @@ from kreversible import (
     verify_conjecture,
 )
 from kreversible.cli import main
+from kreversible.errors import invariant_violation
 from kreversible.serialize import CSV_COLUMNS, canonical_json
 
 from conftest import FIG_TOP_TREE_TEXT, P3_TEXT
@@ -60,6 +63,17 @@ def test_simulate_text(capsys, p3_file):
     assert code == 0
     assert out == "tau=0 period=2 E_final=1\n"
     assert err == ""
+
+
+def test_invariant_violation_exits_one(capsys, monkeypatch, p3_file):
+    def violating(g, x, k):
+        raise invariant_violation(g, k, x, "expected a period of 1 or 2, observed 3")
+
+    monkeypatch.setattr(cli, "run_trajectory", violating)
+    code, out, err = run_cli(capsys, "simulate", "--graph", p3_file, "--config", "+-+")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: edges=[[1, 2], [2, 3]] k=2 start +-+: expected")
 
 
 def test_simulate_default_k_is_two(capsys, p3_file):
@@ -324,6 +338,19 @@ def test_generate_verify(capsys):
     assert len(lines) == 4
     assert all(line.endswith("tau=5 period=1") for line in lines)
     assert lines[0].startswith("tree 1: edges=1-2;2-3;3-4;4-5;5-6;6-7;6-8 config=+-+-+-+-")
+
+
+def test_generate_verify_miss_exits_three(capsys, monkeypatch):
+    real = cli.run_trajectory
+
+    def one_step_long(g, x, k):
+        run = real(g, x, k)
+        return dataclasses.replace(run, tau=run.tau + 1)
+
+    monkeypatch.setattr(cli, "run_trajectory", one_step_long)
+    code, _, err = run_cli(capsys, "generate", "--n", "8", "--verify")
+    assert code == 3
+    assert err == "verification failed: expected tau=5\n"
 
 
 def test_generate_json(capsys):

@@ -155,6 +155,18 @@ def test_checkpoint_resume_roundtrip(tmp_path):
     assert all(json.loads(line) for line in healed.splitlines())
     assert verify_conjecture(6, checkpoint_path=path).to_json_dict() == fresh.to_json_dict()
 
+    # a blank line holds no tree: it is skipped and left in place, whether it
+    # is whitespace in the middle or an empty last line
+    for text in (
+        "\n".join([*lines[:2], "   ", *lines[2:4]]) + "\n",
+        "\n".join(lines[:3]) + "\n\n",
+    ):
+        path.write_text(text)
+        assert verify_conjecture(6, checkpoint_path=path).to_json_dict() == fresh.to_json_dict()
+        kept = path.read_text().splitlines()
+        assert sorted(line for line in kept if line.strip()) == sorted(lines)
+        assert len(kept) == 7
+
 
 def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
     path = tmp_path / "ledger.jsonl"
@@ -185,6 +197,20 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="checkpoint line 2 "):
+            verify_conjecture(6, checkpoint_path=path)
+
+    # edges that do not form a tree on 6 vertices
+    first, *rest = entry["edges"]
+    for edges in (
+        [[0, first[1]], *rest],  # endpoint below 1
+        [[first[0], 7], *rest],  # endpoint above n
+        [[first[0], first[0]], *rest],  # self-loop
+        [first, *rest[:-1], first],  # repeated edge
+        [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6]],  # n - 1 edges with a cycle
+    ):
+        lines[1] = json.dumps({**entry, "edges": edges})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="checkpoint line 2 is malformed"):
             verify_conjecture(6, checkpoint_path=path)
 
     path.unlink()
@@ -221,6 +247,29 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     pooled = verify_conjecture(9, workers=3)
     assert pooled.to_json_dict() == single.to_json_dict()
     assert canonical_json(pooled.to_json_dict()) == canonical_json(single.to_json_dict())
+
+
+def test_nested_search_leaves_the_outer_skip_set_alone(monkeypatch, tmp_path):
+    # a second search in the same process, started here from inside the
+    # first one's first sweep, must not change which trees the first skips
+    monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", 5 * 12 << 9)
+    path = tmp_path / "ledger.jsonl"
+    fresh = verify_conjecture(9, checkpoint_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[::2]))
+    real = extremal.sweep_chunk
+    inner = []
+
+    def nesting(graphs, k):
+        monkeypatch.setattr(extremal, "sweep_chunk", real)  # only the first call nests
+        inner.append(verify_conjecture(6))
+        return real(graphs, k)
+
+    monkeypatch.setattr(extremal, "sweep_chunk", nesting)
+    resumed = verify_conjecture(9, checkpoint_path=path)
+    assert [report.verdict for report in inner] == ["pass"]
+    assert canonical_json(resumed.to_json_dict()) == canonical_json(fresh.to_json_dict())
+    assert sorted(path.read_text().splitlines(keepends=True)) == sorted(lines)
 
 
 def test_family_n5_golden():
@@ -277,6 +326,35 @@ def test_cross_validation_reports_the_n5_gap():
     assert kinds == ["extremal", "tree"]
 
 
+def test_cross_validation_reports_each_kind_of_failure(monkeypatch):
+    report8 = verify_conjecture(8)
+    cv = cross_validate_generator(dataclasses.replace(report8, extremal=report8.extremal[1:]))
+    assert cv.verdict == "fail"
+    assert not cv.codes_match and not cv.configs_match
+    assert any(m.startswith("generated trees not extremal:") for m in cv.mismatches)
+
+    real_family = extremal.generate_extremal_family
+    monkeypatch.setattr(
+        extremal, "generate_extremal_family", lambda n: [*real_family(n), real_family(n)[0]]
+    )
+    cv = cross_validate_generator(report8)
+    assert cv.verdict == "fail"
+    assert any(m.startswith("family emits isomorphic duplicates") for m in cv.mismatches)
+    monkeypatch.setattr(extremal, "generate_extremal_family", real_family)
+
+    real_run = extremal.run_trajectory
+
+    def one_step_long(g, x, k):
+        run = real_run(g, x, k)
+        return dataclasses.replace(run, tau=run.tau + 1)
+
+    monkeypatch.setattr(extremal, "run_trajectory", one_step_long)
+    cv = cross_validate_generator(report8)
+    assert cv.verdict == "fail"
+    assert not cv.all_reach_bound
+    assert "family tree 1 reaches tau=6, expected 5" in cv.mismatches
+
+
 def test_orbit_code_collapses_negation_and_relabeling(p3):
     x = parse_config("+-+", 3)
     assert config_orbit_code(p3, x) == config_orbit_code(p3, parse_config("-+-", 3))
@@ -327,16 +405,16 @@ def test_report_json_shape():
 
 
 def test_pool_worker_entrypoint_is_importable():
-    # the pool path pickles the worker by qualified name; a task is a chunk
-    # of level sequences as bytes, k, and whether to return ledger lines
-    from kreversible.extremal import _search
+    # the pool path pickles its entry point by qualified name; a task is a
+    # chunk of level sequences as bytes, k, and whether to return ledger lines
+    from kreversible.extremal import _pool_search
 
-    assert pickle.loads(pickle.dumps(_search)) is _search
+    assert pickle.loads(pickle.dumps(_pool_search)) is _pool_search
     chunk = (bytes(range(5)), *map(bytes, free_tree_levels(5)))  # a 5-path rooted at an end first
     trees = [_graph_from_levels(levels) for levels in chunk]
     assert trees[0] == path_graph(5)
     for write_lines in (False, True):
-        out = _search(pickle.loads(pickle.dumps((chunk, 2, write_lines))))
+        out = _pool_search(pickle.loads(pickle.dumps((chunk, 2, write_lines))))
         assert all(isinstance(r, SearchResult) for r, _ in out)
         assert [(r.tree, r.tree_code) for r, _ in out] == [
             (tree, canonical_code(tree).hex()) for tree in trees
@@ -344,6 +422,10 @@ def test_pool_worker_entrypoint_is_importable():
         lines = [extremal._ledger_line(r) if write_lines else None for r, _ in out]
         assert [line for _, line in out] == lines
     assert out[0][0].tau_max == 2
+    # outside a pool worker the skip set is an argument
+    skip = frozenset({out[-1][0].tree_code})
+    kept = [r for r, _ in extremal._search((chunk, 2, False), skip)]
+    assert kept == [r for r, _ in out if r.tree_code not in skip]
 
 
 def test_canonical_code_once_per_enumerated_tree(monkeypatch):
