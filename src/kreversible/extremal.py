@@ -18,9 +18,11 @@ state, so searches in separate threads of one process do not interfere. The
 main process keeps the trees at the highest tau_max and writes the lines it
 receives; results are merged by canonical code, so reports are
 byte-identical regardless of worker count.
-An append-only JSONL checkpoint ledger makes long runs resumable: completed
-trees are skipped by canonical-code lookup, and a final line torn by a kill
-mid-write is dropped and truncated away before new results are appended.
+An append-only JSONL checkpoint ledger makes long runs resumable. A resume
+reads it a line at a time and keeps a loaded tree by the same rule as a swept
+one, so the main process holds only the loaded codes, which the search skips,
+and the trees at the highest tau_max. A final line torn by a kill mid-write
+is dropped and truncated away before new results are appended.
 
 generate_extremal_family builds the known extremal family directly, without
 searching; cross_validate_generator checks it against the search's report.
@@ -30,10 +32,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice
 from multiprocessing import Pool
+from typing import BinaryIO
 
 import numpy as np
 
@@ -308,25 +313,25 @@ def _json_int(value) -> int:
     return value
 
 
-def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult], int]:
-    """Parse a ledger, returning the completed results by tree code and the
-    byte offset just past the last intact line.
+def _load_checkpoint(
+    ledger: BinaryIO, n: int, k: int, keep: Callable[[SearchResult], None]
+) -> frozenset[str]:
+    """Read a ledger opened for appending, a line at a time, hand each loaded
+    result to `keep` and return the loaded codes, the trees a resume skips.
 
     A final line without its terminating newline is a mid-write kill: it is
-    dropped (that tree is recomputed) and the caller truncates the file to
-    the returned offset so appended lines never concatenate onto the torn
-    fragment. Corruption anywhere else raises ParseError, and so does a line
-    whose code is not the canonical code of its edges or whose first start
-    does not replay to its stored (tau_max, period).
+    dropped (that tree is recomputed) and truncated away, so appended lines
+    never concatenate onto the torn fragment. Corruption anywhere else raises
+    ParseError, and so does a line whose code is not the canonical code of its
+    edges, repeats an earlier line's code, or whose first start does not
+    replay to its stored (tau_max, period).
     """
-    done: dict[str, SearchResult] = {}
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return done, 0
-    *lines, tail = raw.split(b"\n")  # every line but the tail ended in a newline
-    for index, line_bytes in enumerate(lines):
+    codes: set[str] = set()
+    valid_end = ledger.seek(0)  # "a+b" opens at the end of the file
+    for index, line_bytes in enumerate(ledger):
+        if not line_bytes.endswith(b"\n"):
+            break  # the torn tail: nothing follows it
+        valid_end += len(line_bytes)
         if not line_bytes.strip():
             continue
         try:
@@ -351,9 +356,14 @@ def _load_checkpoint(path: str, n: int, k: int) -> tuple[dict[str, SearchResult]
             raise ParseError(
                 f"checkpoint line {index + 1} has code {code}, but its edges have code {actual}"
             )
-        done[code] = SearchResult(tree, code, k, tau_max, starts)
-        _replay(done[code], runs=1, ledger=True)  # a line that over- or understates its tree
-    return done, len(raw) - len(tail)
+        if code in codes:  # the program writes each tree once
+            raise ParseError(f"checkpoint line {index + 1} repeats tree {code} of an earlier line")
+        codes.add(code)
+        result = SearchResult(tree, code, k, tau_max, starts)
+        _replay(result, runs=1, ledger=True)  # a line that over- or understates its tree
+        keep(result)
+    ledger.truncate(valid_end)
+    return frozenset(codes)
 
 
 def verify_conjecture(
@@ -385,14 +395,8 @@ def verify_conjecture(
         if result.tau_max >= top:
             extremal.append(result)
 
-    done, ledger = {}, None
-    if checkpoint_path is not None:
-        done, valid_end = _load_checkpoint(os.fspath(checkpoint_path), n, k)
-        ledger = open(checkpoint_path, "a", encoding="utf-8")
-        ledger.truncate(valid_end)  # drop any torn tail before appending
-    try:
-        for result in done.values():
-            keep(result)
+    with nullcontext() if checkpoint_path is None else open(checkpoint_path, "a+b") as ledger:
+        skip = frozenset() if ledger is None else _load_checkpoint(ledger, n, k, keep)
         # level sequences are taken from the generator as chunks are handed
         # out, and the workers build the trees, their codes and ledger lines
         levels = map(bytes, free_tree_levels(n))
@@ -404,10 +408,9 @@ def verify_conjecture(
             for result, line in chain.from_iterable(batches):
                 keep(result)
                 if ledger is not None:
-                    ledger.write(line + "\n")
+                    ledger.write(line.encode() + b"\n")
                     ledger.flush()
 
-        skip = frozenset(done)
         if workers == 1:
             collect(_search(task, skip) for task in tasks)
         else:
@@ -415,13 +418,10 @@ def verify_conjecture(
                 # a message per chunk would cost more than a small chunk's
                 # sweep, so each worker takes a batch of chunks at a time
                 collect(pool.imap_unordered(_pool_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
-    finally:
-        if ledger is not None:
-            ledger.close()
 
     extremal.sort(key=lambda s: s.tree_code)
     for result in extremal:  # only the reported trees meet the scalar engine
-        _replay(result, ledger=result.tree_code in done)
+        _replay(result, ledger=result.tree_code in skip)
     tau_max = extremal[0].tau_max
     verdict = "pass" if tau_max == n - 3 and len(extremal) == expected_tree_count(n) else "fail"
     return ConjectureReport(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
@@ -193,6 +194,7 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
         "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree),
         json.dumps(no_configs), json.dumps(float_n), json.dumps(fractional_tau),
         json.dumps(string_tau), json.dumps(string_period), json.dumps(bool_endpoint),
+        lines[0],  # line 1's tree again: the program writes each tree once
     ):
         lines[1] = bad
         path.write_text("\n".join(lines) + "\n")
@@ -270,6 +272,36 @@ def test_nested_search_leaves_the_outer_skip_set_alone(monkeypatch, tmp_path):
     assert [report.verdict for report in inner] == ["pass"]
     assert canonical_json(resumed.to_json_dict()) == canonical_json(fresh.to_json_dict())
     assert sorted(path.read_text().splitlines(keepends=True)) == sorted(lines)
+
+
+def test_resume_holds_no_loaded_tree_below_the_running_top(monkeypatch, tmp_path):
+    # a loaded tree is kept or dropped by the same rule as a swept one: when
+    # the search starts, the only results alive are the loaded trees at the
+    # highest tau_max, not one per ledger line
+    monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", 5 * 12 << 9)
+    path = tmp_path / "ledger.jsonl"
+    fresh = verify_conjecture(9, checkpoint_path=path)
+    kept = path.read_text().splitlines(keepends=True)[::2]
+    path.write_text("".join(kept))
+    taus = [json.loads(line)["tau_max"] for line in kept]
+
+    def live_results() -> int:
+        gc.collect()
+        return sum(isinstance(obj, SearchResult) for obj in gc.get_objects())
+
+    real = extremal.sweep_chunk
+    held = []
+
+    def counting(graphs, k):
+        monkeypatch.setattr(extremal, "sweep_chunk", real)  # only the first call counts
+        held.append(live_results() - before)
+        return real(graphs, k)
+
+    monkeypatch.setattr(extremal, "sweep_chunk", counting)
+    before = live_results()  # the fresh report's, and any other test's still alive
+    resumed = verify_conjecture(9, checkpoint_path=path)
+    assert held == [taus.count(max(taus))] == [1]
+    assert canonical_json(resumed.to_json_dict()) == canonical_json(fresh.to_json_dict())
 
 
 def test_family_n5_golden():

@@ -36,6 +36,9 @@ def test_parse_normalizes_endpoint_order():
 def test_parse_missing_header():
     with pytest.raises(MalformedLineError):
         parse_edge_list("1 2\n")
+    for text in ("", "# only a comment\n\n"):  # nothing but comments and blank lines
+        with pytest.raises(MalformedLineError, match="missing 'n=<int>' header line"):
+            parse_edge_list(text)
 
 
 def test_parse_bad_header():
