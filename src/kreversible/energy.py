@@ -7,10 +7,11 @@ threshold. E never decreases along a trajectory, which is what turns it into
 transient-length bounds. delta_energy_breakdown is the one bookkeeping of a
 transition t -> t+1: E, the auxiliary E' (the partition at time t but op
 measured at t+1), S1/S2, the discordant-edge classes a/b/c and the
-per-vertex deltas are all fields of the EnergyBreakdown it returns. E' always
-equals E, and no vertex ever contributes negatively to E(t+1) - E(t). These
-identities are re-checked at runtime and raise InternalInvariantError on
-violation, since a failure is possible only through an implementation bug.
+per-vertex deltas are all read off the EnergyBreakdown it returns (S2, the
+complement of S1, when it is read). E' always equals E, and no vertex ever
+contributes negatively to E(t+1) - E(t). These identities are re-checked at
+runtime and raise InternalInvariantError on violation, since a failure is
+possible only through an implementation bug.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ class EnergyBreakdown:
     op_now: tuple[int, ...]
     op_next: tuple[int, ...]
     s1: VertexSet
-    s2: VertexSet
     energy: int
     energy_aux: int
     a_size: int
     b_size: int
     c_size: int
     per_vertex_delta: tuple[int, ...]
+
+    @property
+    def s2(self) -> VertexSet:  # the complement of S1
+        return frozenset(range(len(self.op_now))) - self.s1
 
     def to_json_dict(self) -> dict:
         # external reports are 1-based
@@ -116,12 +120,10 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
         raise invariant_violation(g, k, x, "per-vertex deltas do not sum to the energy difference")
     if min(deltas) < 0:
         raise invariant_violation(g, k, x, "negative per-vertex energy contribution")
-    s1_set = frozenset(v for v, inside in enumerate(in_s1) if inside)
     return EnergyBreakdown(
         op_now=tuple(ops),
         op_next=tuple(ops_next),
-        s1=s1_set,
-        s2=frozenset(range(g.n)) - s1_set,
+        s1=frozenset(v for v, inside in enumerate(in_s1) if inside),
         energy=e_now,
         energy_aux=e_aux,
         a_size=a,

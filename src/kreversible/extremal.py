@@ -12,12 +12,14 @@ max_transient_search replays every start it returns.
 Trees are swept in chunks of same-size trees (tables.sweep_chunk). The main
 process hands out chunks of canonical level sequences; the process that
 searches a chunk (_search, in a pool worker or in-process for one worker)
-builds each tree and its canonical code, sweeps the trees the ledger does
-not hold and makes their ledger lines. A one-worker search changes no module
-state, so searches in separate threads of one process do not interfere. The
-main process keeps the trees at the highest tau_max and writes the lines it
-receives; results are merged by canonical code, so reports are
-byte-identical regardless of worker count.
+builds each tree, sweeps the trees the ledger does not hold and makes their
+ledger lines. Codes are computed where they are read: a tree's canonical code
+(SearchResult.tree_code) by a resume's skip check, whose code the result
+keeps, by a ledger line or by the report; orbit codes when the report is read.
+A one-worker search changes no module state, so searches in separate threads
+of one process do not interfere. The main process keeps the trees at the
+highest tau_max and writes the lines it receives; results are merged by
+canonical code, so reports are byte-identical regardless of worker count.
 An append-only JSONL checkpoint ledger makes long runs resumable. A resume
 reads it a line at a time and keeps a loaded tree by the same rule as a swept
 one, so the main process holds only the loaded codes, which the search skips,
@@ -88,10 +90,13 @@ class SearchResult:
     per-tree result that workers return, the ledger stores and reports read."""
 
     tree: Graph
-    tree_code: str
     k: int
     tau_max: int
     starts: tuple[tuple[int, int], ...]  # (bits, period), vertex 1 at +1, bits increasing
+
+    @cached_property
+    def tree_code(self) -> str:  # canonical code, lowercase hex
+        return canonical_code(self.tree).hex()
 
     @property
     def records(self) -> tuple[ExtremalRecord, ...]:
@@ -129,7 +134,7 @@ class SearchResult:
         }
 
 
-def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
+def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
     """Step 1 for one tree, given its sweep: every start is checked against
     the transient bounds, and the starts attaining the maximum are kept."""
     bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
@@ -137,15 +142,15 @@ def _result(tree: Graph, code: str, k: int, res: SweepResult) -> SearchResult:
     if over.size:
         i = over[0]
         raise invariant_violation(
-            tree, k, Configuration(tree.n, int(res.start_bits[i])),
+            tree, k, Configuration(tree.n, 2 * int(i) + 1),
             f"expected tau <= {bound[i]} by the transient bounds, "
             f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
-            tree=code,
+            tree=canonical_code(tree).hex(),
         )
     tau_max = int(res.taus.max())
-    attaining = res.taus == tau_max
-    starts = tuple(zip(res.start_bits[attaining].tolist(), res.periods[attaining].tolist()))
-    return SearchResult(tree, code, k, tau_max, starts)
+    attaining = np.flatnonzero(res.taus == tau_max)  # start j is 2j + 1
+    starts = zip((2 * attaining + 1).tolist(), res.periods[attaining].tolist())
+    return SearchResult(tree, k, tau_max, tuple(starts))
 
 
 _skip: frozenset[str] = frozenset()  # a pool worker's copy of the loaded ledger's codes
@@ -167,21 +172,21 @@ def _start_worker(codes: frozenset[str]) -> None:
 def _search(
     task: tuple[tuple[bytes, ...], int, bool], skip: frozenset[str] = frozenset()
 ) -> list[tuple[SearchResult, str | None]]:
-    """Step 1 for a chunk of same-n trees, given as level sequences: each
-    tree's Graph and canonical code, one sweep for the trees whose codes are
-    not in `skip`, then each result, in order, with its ledger line if lines
-    are written (else None). The trees are in scope by construction."""
+    """Step 1 for a chunk of same-n trees, in scope by construction, given as
+    level sequences: each tree's Graph, a sweep of those whose codes are not in
+    `skip` (coded only if it is non-empty; results keep the codes), and each
+    result, in order, with its ledger line if lines are written (else None)."""
     chunk, k, write_lines = task
-    pending = []
-    for levels in chunk:
-        tree = _graph_from_levels(levels)
-        code = canonical_code(tree).hex()
-        if code not in skip:
-            pending.append((tree, code))
-    if not pending:
-        return []
-    sweeps = sweep_chunk([tree for tree, _ in pending], k)
-    results = [_result(tree, code, k, res) for (tree, code), res in zip(pending, sweeps)]
+    trees = [_graph_from_levels(levels) for levels in chunk]
+    codes = [canonical_code(tree).hex() for tree in trees] if skip else []
+    if codes:  # a resume: sweep only the trees the ledger does not hold
+        trees = [tree for tree, code in zip(trees, codes) if code not in skip]
+        codes = [code for code in codes if code not in skip]
+        if not trees:
+            return []
+    results = [_result(tree, k, res) for tree, res in zip(trees, sweep_chunk(trees, k))]
+    for result, code in zip(results, codes):
+        vars(result)["tree_code"] = code  # fills the cached_property: each tree is coded once
     return [(r, _ledger_line(r) if write_lines else None) for r in results]
 
 
@@ -230,7 +235,7 @@ def max_transient_search(
         raise ValueError("extremal search is scoped to trees")
     if tree.n > limit:
         raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
-    _replay(result := _result(tree, canonical_code(tree).hex(), k, sweep(tree, k)))
+    _replay(result := _result(tree, k, sweep(tree, k)))
     return result
 
 
@@ -245,9 +250,9 @@ class ConjectureReport:
 
     extremal holds the result of every tree attaining tau_max, by tree code.
     verdict is "pass" iff tau_max = n - 3 and the extremal tree count matches
-    expected_tree_count. Configuration counts per extremal tree are reported
-    raw, modulo negation, and modulo negation + automorphism, so the counting
-    claim can be audited under each reading.
+    expected_tree_count. Configuration counts per extremal tree are read off
+    its result: raw, modulo negation, and modulo negation + automorphism (orbit
+    codes, computed on first read), so the claim can be audited under each reading.
     """
 
     n: int
@@ -257,7 +262,6 @@ class ConjectureReport:
     tree_count: int
     expected_tree_count: int
     extremal: tuple[SearchResult, ...]
-    configs_per_tree_mod_automorphism: dict[str, int]
     verdict: str
 
     @property
@@ -274,6 +278,10 @@ class ConjectureReport:
     @property
     def configs_per_tree_mod_negation(self) -> dict[str, int]:
         return {s.tree_code: s.mod_negation_count for s in self.extremal}
+
+    @property
+    def configs_per_tree_mod_automorphism(self) -> dict[str, int]:
+        return {s.tree_code: s.orbit_count for s in self.extremal}
 
     def to_json_dict(self) -> dict:
         return {
@@ -323,8 +331,9 @@ def _load_checkpoint(
     dropped (that tree is recomputed) and truncated away, so appended lines
     never concatenate onto the torn fragment. Corruption anywhere else raises
     ParseError, and so does a line whose code is not the canonical code of its
-    edges, repeats an earlier line's code, or whose first start does not
-    replay to its stored (tau_max, period).
+    edges, repeats an earlier line's code, whose starts are not odd and
+    strictly increasing (vertex 1 at +1, each start once), or whose first
+    start does not replay to its stored (tau_max, period).
     """
     codes: set[str] = set()
     valid_end = ledger.seek(0)  # "a+b" opens at the end of the file
@@ -349,7 +358,11 @@ def _load_checkpoint(
             starts = tuple((parse_config(c, n).bits, _json_int(p)) for c, p in entry["configs"])
             if not starts:  # every tree attains its own maximum somewhere
                 raise ValueError("no attaining configuration")
-            actual = canonical_code(tree).hex()
+            bits = [b for b, _ in starts]  # a repeat or a negation would inflate the counts
+            if any(b % 2 == 0 for b in bits) or any(a >= b for a, b in zip(bits, bits[1:])):
+                raise ValueError("starts not vertex-1-positive in increasing order")
+            result = SearchResult(tree, k, tau_max, starts)
+            actual = result.tree_code  # a non-tree raises ValueError here
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint line {index + 1} is malformed ({exc!r})") from None
         if code != actual:  # a wrong code would skip, and so drop, another tree
@@ -359,7 +372,6 @@ def _load_checkpoint(
         if code in codes:  # the program writes each tree once
             raise ParseError(f"checkpoint line {index + 1} repeats tree {code} of an earlier line")
         codes.add(code)
-        result = SearchResult(tree, code, k, tau_max, starts)
         _replay(result, runs=1, ledger=True)  # a line that over- or understates its tree
         keep(result)
     ledger.truncate(valid_end)
@@ -432,7 +444,6 @@ def verify_conjecture(
         tree_count=len(extremal),
         expected_tree_count=expected_tree_count(n),
         extremal=tuple(extremal),
-        configs_per_tree_mod_automorphism={s.tree_code: s.orbit_count for s in extremal},
         verdict=verdict,
     )
 

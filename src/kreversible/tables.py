@@ -41,9 +41,12 @@ x(t) != x(t+2), a count that stops once x(t) = x(t+2) puts x(t) on the
 cycle for good. Closed starts stay in the active arrays until at most
 half of them are still open; then the closed ones are written out, tau and
 x(tau), and dropped. Each such pass at least halves the active set, so the
-compaction costs O(starts) in all. The period (1 iff x(tau) is a fixed
-point) and the plateau energy E(x(tau)) are read from x(tau) once the loop
-is done, the energy widened to int64 as it is read and offset for k > n.
+compaction costs O(starts) in all; it drops the closed starts' indices first
+and compacts one array at a time, so the peak holds one array's copy, not
+all eight. The period (1 iff x(tau) is a fixed point) and the plateau energy
+E(x(tau)) are read from x(tau) once the loop is done, the energy widened to
+int64 as it is read and offset for k > n. A result stores no starts: entry j
+of a graph's arrays is start 2j + 1, which SweepResult.start_bits derives.
 
 Invariants are checked as the sweep runs, for each graph of a chunk —
 energy monotone over all 2^n transitions, transient within the graph's own
@@ -131,14 +134,17 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-start-configuration outcome of an exhaustive sweep; starts increase."""
+    """Per-start outcome of an exhaustive sweep; entry j is start 2j + 1."""
 
     n: int
     k: int
-    start_bits: np.ndarray
     taus: np.ndarray
     periods: np.ndarray
     plateau_energies: np.ndarray
+
+    @property
+    def start_bits(self) -> np.ndarray:
+        return np.arange(1, 1 << self.n, 2, dtype=np.uint32)
 
 
 def chunk_size(n: int) -> int:
@@ -190,8 +196,6 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     # constant energy that ends at t
     pos = np.arange(m, dtype=np.uint32)  # m <= 2^24 at MAX_TABLE_VERTICES
     x0 = 2 * pos + np.uint32(1)  # graph i's start j, i << n | j << 1 | 1
-    start = x0[:half].copy()  # graph 0's states are its own bits
-    start.flags.writeable = False  # shared by every graph's result
     x1 = np.take(succ, x0)
     x2 = np.take(succ, x1)
     e0 = np.take(energy, x0)
@@ -208,12 +212,18 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
             done = pos.take(closed)
             taus[done] = tau.take(closed)
             cycle[done] = x0.take(closed)
+            del closed, done
             if not still_open:
                 break
             kept = np.flatnonzero(open_)
-            pos, x0, x1, x2, e0, tau, run, open_ = (
-                a.take(kept) for a in (pos, x0, x1, x2, e0, tau, run, open_)
-            )
+            pos = pos.take(kept)
+            x0 = x0.take(kept)
+            x1 = x1.take(kept)
+            x2 = x2.take(kept)
+            e0 = e0.take(kept)
+            tau = tau.take(kept)
+            run = run.take(kept)
+            open_ = open_.take(kept)
         tau += open_
         x0, x1 = x1, x2
         x2 = np.take(succ, x1)
@@ -239,7 +249,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
 
     # free the loop's arrays, still full width if every start closed at once,
     # as when no vertex flips
-    del pos, x0, x1, x2, e0, tau, run, open_, closed, done
+    del pos, x0, x1, x2, e0, tau, run, open_
     periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
     plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
     if offset:  # in place: k < n makes no further full-width pass
@@ -247,6 +257,6 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     del succ, energy, cycle  # free the tables (24 MiB at n = 22) before widening taus
     taus = taus.astype(np.int64)
     return [
-        SweepResult(n, k, start, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
+        SweepResult(n, k, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
         for i in range(0, m, half)
     ]

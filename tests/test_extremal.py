@@ -190,10 +190,16 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
     string_period = {**entry, "configs": [[c, str(p)] for c, p in entry["configs"]]}
     assert [1, 2] in entry["edges"]
     bool_endpoint = {**entry, "edges": [[True if u == 1 else u, v] for u, v in entry["edges"]]}
+    # starts that would inflate the counts: one start twice, or a negation (vertex 1 at -)
+    first_config = entry["configs"][0]
+    repeated_start = {**entry, "configs": [first_config, *entry["configs"]]}
+    negated = "".join("-" if c == "+" else "+" for c in first_config[0])
+    negated_start = {**entry, "configs": [*entry["configs"], [negated, first_config[1]]]}
     for bad in (
         "{ not json", '{"n": 6, "k": 2, "code": "ab"}', "[1, 2]", json.dumps(claims_other_tree),
         json.dumps(no_configs), json.dumps(float_n), json.dumps(fractional_tau),
         json.dumps(string_tau), json.dumps(string_period), json.dumps(bool_endpoint),
+        json.dumps(repeated_start), json.dumps(negated_start),
         lines[0],  # line 1's tree again: the program writes each tree once
     ):
         lines[1] = bad
@@ -460,7 +466,9 @@ def test_pool_worker_entrypoint_is_importable():
     assert kept == [r for r, _ in out if r.tree_code not in skip]
 
 
-def test_canonical_code_once_per_enumerated_tree(monkeypatch):
+def test_canonical_code_once_per_enumerated_tree(monkeypatch, tmp_path):
+    # a tree is coded where its code is read: a reported tree, a ledger line,
+    # and on a resume the skip check, whose code the swept tree's result keeps
     calls = []
     real = extremal.canonical_code
 
@@ -468,12 +476,23 @@ def test_canonical_code_once_per_enumerated_tree(monkeypatch):
         calls.append(colors)
         return real(g, colors)
 
+    def tree_codes(**kwargs) -> int:  # uncolored codes of one run and its rendered report
+        calls.clear()
+        report = verify_conjecture(9, **kwargs)
+        report.to_json_dict()
+        # config_orbit_code codes each reported configuration and its negation
+        assert len(calls) - calls.count(None) == 2 * len(report.extremal_records)
+        return calls.count(None)
+
     monkeypatch.setattr(extremal, "canonical_code", counting)
-    report = verify_conjecture(9)
     trees = sum(1 for _ in enumerate_free_trees(9))
-    assert sum(colors is None for colors in calls) == trees
-    # config_orbit_code codes each reported configuration and its negation
-    assert len(calls) == trees + 2 * len(report.extremal_records)
+    path = tmp_path / "ledger.jsonl"
+    assert tree_codes() == expected_tree_count(9) == 3
+    assert tree_codes(checkpoint_path=path) == trees == 47
+    kept = path.read_text().splitlines(keepends=True)[::2]
+    path.write_text("".join(kept))
+    # each loaded line once, and each enumerated tree once in the skip check
+    assert tree_codes(checkpoint_path=path) <= trees + len(kept) == 71
 
 
 # sha256 of the n = 9 ledger's lines, sorted, each ending in a newline; captured from an
@@ -531,7 +550,11 @@ def test_orbit_codes_only_for_reported_configurations(monkeypatch):
 
     monkeypatch.setattr(extremal, "config_orbit_code", counting)
     report = verify_conjecture(8)
-    assert len(calls) == len(report.extremal_records)
+    assert not calls  # the orbit counts are computed when the report is read
+    payload = report.to_json_dict()
+    assert len(calls) == len(report.extremal_records) == 9
+    assert report.to_json_dict() == payload
+    assert len(calls) == 9  # cached on each result
 
 
 def counting_replays(monkeypatch) -> list:
