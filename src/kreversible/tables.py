@@ -30,31 +30,63 @@ the tables are summed at min(k, n), in int16 at every k, and n*max(0, k - n)
 is added only where energies leave this module (state_tables, the plateau
 energies, the violation messages).
 
-The sweep takes a chunk of graphs with one vertex count and runs the starts
-of every graph in one loop over the chunk's tables, so numpy's per-call cost
-is paid once per chunk, not once per graph. A chunk takes at most
-CHUNK_TABLE_BYTES at a budget of 12 bytes per state; sweep(g, k) is the
-chunk of one graph. The loop reads the int16 energy table and keeps
-positions in uint32, so a step gathers 2 bytes of energy per start. The
-loop compacts nothing per step: each start counts tau as its steps with
-x(t) != x(t+2), a count that stops once x(t) = x(t+2) puts x(t) on the
-cycle for good. Closed starts stay in the active arrays until at most
-half of them are still open; then the closed ones are written out, tau and
-x(tau), and dropped. Each such pass at least halves the active set, so the
-compaction costs O(starts) in all; it drops the closed starts' indices first
-and compacts one array at a time, so the peak holds one array's copy, not
-all eight. The period (1 iff x(tau) is a fixed point) and the plateau energy
-E(x(tau)) are read from x(tau) once the loop is done, the energy widened to
-int64 as it is read and offset for k > n. A result stores no starts: entry j
-of a graph's arrays is start 2j + 1, which SweepResult.start_bits derives.
+The sweep takes a chunk of graphs with one vertex count and runs them in
+one loop over the chunk's tables, so numpy's per-call cost is paid once per
+chunk, not once per graph. A chunk takes at most CHUNK_TABLE_BYTES at a
+budget of 12 bytes per state; sweep(g, k) is the chunk of one graph.
 
-Invariants are checked as the sweep runs, for each graph of a chunk —
-energy monotone over all 2^n transitions, transient within the graph's own
-proven budget of n(max_degree+1)+1 steps, period 1 or 2, energy constant for
-at most n consecutive steps before the transient ends — so a buggy table
-cannot produce silently wrong exhaustive results. Each violation names the
-offending graph's edges, k and its first offending start configuration,
-which one `kreversible simulate` call replays.
+The loop runs on the first step's image, not on the starts. A start x off
+its cycle has tau(x) = 1 + tau(x(1)) and ends on x(1)'s cycle, with its
+period and plateau energy. A start on its cycle, x(2) = x(0), has tau 0, and
+x(1) is on the same cycle, a fixed point iff x is, and at the same energy,
+since the monotonicity check (made first) holds energy constant on a cycle.
+The x(1), read from succ[1::2], are marked in a boolean table and taken with
+flatnonzero: they are 15% of the starts on a random 22-vertex tree at k = 2,
+1.4% at k = 1, and 40% over the n = 13 chunks. The loop runs on these
+distinct states, and each start's tau, period and plateau are then gathered
+from the small per-state arrays through a rank table of the states; the
+starts on their cycle, the odd successors of the states with tau 0, are then
+set to tau 0. If the distinct x(1) are more than half the starts, as when
+k > max degree makes succ the identity, the loop runs on the starts
+themselves, where the marks and ranks would cost more than they save.
+
+The loop reads the int16 energy table and keeps states in uint32, so a step
+gathers 2 bytes of energy per state. It compacts nothing per step: each
+state counts tau as its steps with x(t) != x(t+2), a count that stops once
+x(t) = x(t+2) puts x(t) on the cycle for good. Closed states stay in the
+active arrays until at most half of them are still open; then the closed
+ones are written out, tau and x(tau), and dropped. Each such pass at least
+halves the active set, so the compaction costs O(states) in all; it drops
+the closed states' indices first and compacts one array at a time, so the
+peak holds one array's copy, not all eight. The period (1 iff x(tau) is a
+fixed point) and the plateau energy E(x(tau)) are read from x(tau) once the
+loop is done, the energy widened to int64 as it is read and offset for
+k > n. A result stores no starts: entry j of a graph's arrays is start
+2j + 1, which SweepResult.start_bits derives.
+
+Memory, in bytes per state of the chunk: 6 for the tables; 1 for the mark
+table, freed before the loop; about 15 for the loop's arrays when it runs on
+the starts (30 per start), at most half that when it runs on the distinct
+x(1); then 4 for the rank table and 2 for each start's rank; and 12 for the
+int64 results. A sweep of a 22-vertex path peaks at 117, 118 and 126 MiB RSS
+at k = 2, 1 and 2000.
+
+Invariants are checked as the sweep runs, for each graph of a chunk — energy
+monotone over all 2^n transitions, transient within the graph's own proven
+budget of n(max_degree+1)+1 steps, period 1 or 2, energy constant for at
+most n consecutive steps before the transient ends — so a buggy table cannot
+produce silently wrong exhaustive results. The loop over the distinct x(1)
+checks limits one tighter: the budget less one, and at most n - 1 constant
+steps. A start's transient is its first step, then x(1)'s transient, so it
+passes the budget only if x(1)'s passes the budget less one; and a constant
+run on its path is one on x(1)'s path, or that run with the start's own
+first step in front. So every violation on a start's path shows in that
+loop. The converse fails: x(1) may keep its energy for n steps, one more
+than that loop allows, and x(1) need not be a start. So if that loop raises,
+the loop runs again on the starts with their own limits, and raises what a
+loop over the starts alone raises, naming the same start, or nothing. Each
+violation names the offending graph's edges, k and its first offending start
+configuration, which one `kreversible simulate` call replays.
 """
 
 from __future__ import annotations
@@ -71,15 +103,20 @@ from .graphs import Graph
 # The tables take 4 + 2 bytes per state at every k, 2^25 * 6 B = 192 MiB at
 # the cap. Building them allocates no other array that wide on sparse
 # graphs: the tables of a 22-vertex path peak at 54 MiB RSS, 24 MiB of them
-# the tables. Refuse anything bigger.
+# the tables. A sweep adds 1 byte per state for the mark table and 4 for the
+# rank table, never at once, besides the loop and its int64 results (see the
+# module docstring): sweeping that path peaks at 117-126 MiB at k = 1, 2 and
+# 2000. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
 # tables. Sized at a budget of 12 bytes per state (the tables take 6 of
 # them), a chunk holds 5 trees at n = 13, 2 at n = 14, and from n = 15 on a
-# single graph. The loop's own arrays take about 15 bytes per state (30 per
-# start, which is half a state space), so the whole stays in a 2 MiB L2
-# cache and adds under 1 MiB to the peak RSS of an n = 13 run.
+# single graph. The mark table takes 1 byte per state and the rank table 4.
+# The loop's own arrays take about 15 bytes per state on the starts (30 per
+# start, which is half a state space), and at n = 13 about 6 on the distinct
+# x(1), 40% of the starts. So the whole stays in a 2 MiB L2 cache and adds
+# under 1 MiB to the peak RSS of an n = 13 run.
 CHUNK_TABLE_BYTES = 512 << 10
 
 
@@ -185,36 +222,92 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         )
 
     budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
-    least_budget = int(budgets.min())
     half = 1 << (n - 1)
-    m = len(graphs) * half  # start j of graph i is at position i * half + j
+    # x(1) of each start; start j of graph i, i << n | j << 1 | 1, is at i * half + j
+    x1 = succ[1::2]
+    image = np.zeros(len(succ), dtype=bool)
+    image[x1] = True
+    deduped = 2 * np.count_nonzero(image) <= len(x1)
+    states = np.flatnonzero(image).astype(np.uint32) if deduped else None
+    del image
+    if deduped:
+        try:  # limits one tighter, so that a violation on any start's path shows here
+            tau, cycle = _lockstep(succ, energy, states, n, budgets - 1, n - 1, violation)
+        except InternalInvariantError:  # or a false alarm: the starts' own limits decide
+            deduped = False
+    if not deduped:
+        states = np.arange(1, len(succ), 2, dtype=np.uint32)
+        tau, cycle = _lockstep(succ, energy, states, n, budgets, n, violation)
+
+    # per loop state: the period (1 iff x(tau) is a fixed point) and plateau energy
+    periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
+    plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
+    if offset:  # in place: k < n makes no further full-width pass
+        plateaus += offset
+    if deduped:
+        rank = np.empty(len(succ), dtype=np.uint32)
+        rank[states] = np.arange(len(states), dtype=np.uint32)
+        rank = rank.take(x1)  # each start's x(1), as an index into states
+        # a start x has x(2) = x(0) iff its x(1) has tau 0 and x is the
+        # successor of its x(1); and every odd successor of a state with tau 0
+        # is such a start, at position x >> 1
+        partners = succ.take(states[tau == 0])
+        on_cycle = partners[partners & 1 == 1] >> 1
+    del succ, energy, cycle, x1, states  # free the tables (24 MiB at n = 22) first
+    taus = tau.astype(np.int64)
+    if deduped:  # every other start takes one step to its x(1), then follows it
+        taus = (taus + 1).take(rank)
+        taus[on_cycle] = 0
+        periods, plateaus = periods.take(rank), plateaus.take(rank)
+    return [
+        SweepResult(n, k, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
+        for i in range(0, len(taus), half)
+    ]
+
+
+def _lockstep(
+    succ: np.ndarray,
+    energy: np.ndarray,
+    starts: np.ndarray,
+    n: int,
+    budgets: np.ndarray,
+    run_limit: int,
+    violation,
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau and x(tau) of each start state, run in lockstep over a chunk's
+    tables, state x being of graph x >> n. The first start, in order, whose
+    energy stays constant for more than run_limit consecutive transient steps
+    or whose transient passes budgets[x >> n] raises violation(start, what)."""
+    m = len(starts)
     taus = np.empty(m, dtype=np.uint16)  # budgets stay below 2^10 up to MAX_TABLE_VERTICES
     cycle = np.empty(m, dtype=np.uint32)  # x(tau), where period and plateau are read
+    least_budget = int(budgets.min())
 
     # per active start: its position, x(t), x(t+1), x(t+2), E(x(t)), the
     # steps t' < t with x(t') != x(t'+2), and the run of transient steps with
     # constant energy that ends at t
     pos = np.arange(m, dtype=np.uint32)  # m <= 2^24 at MAX_TABLE_VERTICES
-    x0 = 2 * pos + np.uint32(1)  # graph i's start j, i << n | j << 1 | 1
+    x0 = starts
     x1 = np.take(succ, x0)
     x2 = np.take(succ, x1)
     e0 = np.take(energy, x0)
     tau = np.zeros(m, dtype=np.uint16)
-    run = np.zeros(m, dtype=np.uint8)  # the sweep stops once a run passes n
+    run = np.zeros(m, dtype=np.uint8)  # the loop stops once a run passes run_limit <= n
     t = 0
     while True:
         # x(t) = x(t+2) puts x(t) on the cycle for good: a closed start keeps
         # its tau, and x(t) stays on the cycle
         open_ = x0 != x2
         still_open = np.count_nonzero(open_)
+        if not still_open:  # as at t = 0 when no vertex flips
+            taus[pos], cycle[pos] = tau, x0
+            return taus, cycle
         if 2 * still_open <= len(open_):  # retiring halves the active set at least
             closed = np.flatnonzero(~open_)
             done = pos.take(closed)
             taus[done] = tau.take(closed)
             cycle[done] = x0.take(closed)
             del closed, done
-            if not still_open:
-                break
             kept = np.flatnonzero(open_)
             pos = pos.take(kept)
             x0 = x0.take(kept)
@@ -231,32 +324,17 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         run += np.uint8(1)
         run *= open_ & (e1 == e0)
         e0 = e1
-        if run.max() > n:
-            i = int(np.argmax(run > n))
+        if run.max() > run_limit:
+            i = int(np.argmax(run > run_limit))
             raise violation(
-                2 * int(pos[i]) + 1, "energy constant for more than n consecutive transient steps"
+                starts[pos[i]], "energy constant for more than n consecutive transient steps"
             )
         t += 1
         if t > least_budget:  # a start still open after t steps has tau >= t
-            over = open_ & (budgets.take(pos // half) < t)
+            over = open_ & (budgets.take(x0 >> n) < t)
             if np.any(over):
                 i = int(np.argmax(over))
-                budget = budgets[pos[i] // half]
                 raise violation(
-                    2 * int(pos[i]) + 1,
-                    f"sweep exceeded the proven {budget}-step transient budget",
+                    starts[pos[i]],
+                    f"sweep exceeded the proven {budgets[x0[i] >> n]}-step transient budget",
                 )
-
-    # free the loop's arrays, still full width if every start closed at once,
-    # as when no vertex flips
-    del pos, x0, x1, x2, e0, tau, run, open_
-    periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
-    plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
-    if offset:  # in place: k < n makes no further full-width pass
-        plateaus += offset
-    del succ, energy, cycle  # free the tables (24 MiB at n = 22) before widening taus
-    taus = taus.astype(np.int64)
-    return [
-        SweepResult(n, k, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
-        for i in range(0, m, half)
-    ]

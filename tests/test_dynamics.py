@@ -334,17 +334,6 @@ def test_state_tables_match_scalar_path():
             assert energy.tolist() == [config_energy(g, x, k) for x in configs]
 
 
-def test_sweep_matches_scalar_trajectories():
-    rng = random.Random(59)
-    for _ in range(25):
-        g = random_tree(rng, rng.randint(2, 8))
-        k = rng.randint(1, g.max_degree())
-        res = sweep(g, k)
-        for i, bits in enumerate(res.start_bits.tolist()):
-            r = run_trajectory(g, Configuration(g.n, bits), k)
-            assert r.tau == res.taus[i]
-            assert r.period == res.periods[i]
-            assert r.plateau_energy == res.plateau_energies[i]
 
 
 def test_sweep_across_the_int16_energy_boundary():
@@ -500,6 +489,130 @@ def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
     # the same chain within the star's budget of 17 steps is no violation
     monkeypatch.setattr(tables, "chunk_tables", corrupt(0, chain, np.arange(16, dtype=np.int64)))
     assert tables.sweep_chunk(chunk, 1)[0].taus[0] == 14
+
+
+def loop_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Record (start states, run limit) of each lockstep loop the sweep runs:
+    a run limit of n - 1 marks the loop over the distinct x(1)."""
+    runs = []
+    real = tables._lockstep
+
+    def recording(succ, energy, states, n, budgets, run_limit, violation):
+        runs.append((len(states), run_limit))
+        return real(succ, energy, states, n, budgets, run_limit, violation)
+
+    monkeypatch.setattr(tables, "_lockstep", recording)
+    return runs
+
+
+def test_sweep_matches_scalar_trajectories(monkeypatch):
+    # every start of: every free tree with n <= 9 at every k in 1..max
+    # degree + 1, each k's trees in one chunk; seeded random trees with
+    # n <= 8, each alone; and seeded random connected graphs with n <= 10
+    runs = loop_runs(monkeypatch)
+    rng = random.Random(59)
+    cases = []
+    for _ in range(25):
+        g = random_tree(rng, rng.randint(2, 8))
+        cases.append(([g], rng.randint(1, g.max_degree())))
+    for n in range(1, 10):
+        trees = list(enumerate_free_trees(n))
+        for k in range(1, max(g.max_degree() for g in trees) + 2):
+            cases.append(([g for g in trees if k <= g.max_degree() + 1], k))
+    for n in range(2, 11):
+        graphs = [random_connected_graph(rng, n) for _ in range(3)]
+        cases += [(graphs, k) for k in (1, 2, max(g.max_degree() for g in graphs) + 1)]
+    deduped = set()
+    for graphs, k in cases:
+        runs.clear()
+        for g, res in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
+            for bits, *swept in zip(
+                res.start_bits.tolist(), res.taus.tolist(), res.periods.tolist(),
+                res.plateau_energies.tolist(),
+            ):
+                r = run_trajectory(g, Configuration(g.n, bits), k)
+                assert [r.tau, r.period, r.plateau_energy] == swept, (g.edges, k, bits)
+        deduped.add(runs[0][1] < graphs[0].n)
+    # both loops ran: on the distinct x(1), and on the starts, as when k > max
+    # degree leaves every start fixed
+    assert deduped == {True, False}
+
+
+P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def funnel_tables(start_energy: int = 0):
+    """P4 tables in which every start but ++++ steps to -+-- and climbs
+    -+-- -> --+- -> -++- -> ---+ -> -+-+, fixed there, all at energy 1: a
+    constant-energy run of exactly n = 4 steps from x(1). ++++ is fixed.
+    Starts are at energy 0, and start +-+- at start_energy."""
+    succ = np.arange(16, dtype=np.uint32)
+    succ[1:15:2] = 2
+    succ[[2, 4, 6, 8]] = [4, 6, 8, 10]
+    energy = np.zeros(16, dtype=np.int16)
+    energy[0::2] = 1
+    energy[5] = start_energy  # start +-+-
+    return succ, energy
+
+
+def test_sweep_constant_run_of_n_from_x1_is_no_violation(monkeypatch):
+    runs = loop_runs(monkeypatch)
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: funnel_tables())
+    res = sweep(P4, 1)
+    assert res.taus.tolist() == [5] * 7 + [0]
+    assert res.periods.tolist() == [1] * 8
+    assert res.plateau_energies.tolist() == [1] * 7 + [0]
+    # the run of n steps from x(1) passes the distinct loop's limit of n - 1:
+    # the starts are rerun with their own limit, which it does not pass
+    assert runs == [(2, 3), (8, 4)]
+
+
+def test_sweep_constant_run_counting_the_starts_first_step_names_it(monkeypatch):
+    runs = loop_runs(monkeypatch)
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: funnel_tables(start_energy=1))
+    with pytest.raises(InternalInvariantError) as caught:
+        sweep(P4, 1)
+    assert str(caught.value) == (
+        "edges=[[1, 2], [2, 3], [3, 4]] k=1 start +-+-: "
+        "energy constant for more than n consecutive transient steps"
+    )
+    assert runs == [(2, 3), (8, 4)]
+
+
+def test_sweep_transient_of_exactly_the_budget_and_one_more(monkeypatch):
+    # three P4s, whose budget is 13: the first climbs 0 -> 1 -> ... -> top,
+    # fixed there, with energy rising by 1 a step; the other two send every
+    # state but the fixed ++++ to their state 0, so the distinct x(1) are at
+    # most 12 of the 24 starts
+    runs = loop_runs(monkeypatch)
+    funnel = np.zeros(16, dtype=np.uint32)
+    funnel[15] = 15
+
+    def climb(top):
+        def build(graphs, k):
+            succ = np.concatenate([np.minimum(np.arange(16, dtype=np.uint32) + 1, top),
+                                   funnel + np.uint32(16), funnel + np.uint32(32)])
+            energy = np.zeros(48, dtype=np.int16)
+            energy[:16] = np.minimum(np.arange(16), top)
+            return succ, energy
+        return build
+
+    monkeypatch.setattr(tables, "chunk_tables", climb(14))  # start 1 reaches 14 at tau = 13
+    first, *rest = tables.sweep_chunk([P4] * 3, 1)
+    assert first.taus.tolist() == [13, 11, 9, 7, 5, 3, 1, 1]
+    assert first.periods.tolist() == [1] * 8 and first.plateau_energies.tolist() == [14] * 8
+    for res in rest:
+        assert res.taus.tolist() == [1] * 7 + [0] and res.plateau_energies.tolist() == [0] * 8
+    assert runs == [(11, 3)]
+    runs.clear()
+    monkeypatch.setattr(tables, "chunk_tables", climb(15))  # tau = 14
+    with pytest.raises(InternalInvariantError) as caught:
+        tables.sweep_chunk([P4] * 3, 1)
+    assert str(caught.value) == (
+        "edges=[[1, 2], [2, 3], [3, 4]] k=1 start +---: "
+        "sweep exceeded the proven 13-step transient budget"
+    )
+    assert runs == [(12, 3), (24, 4)]
 
 
 def assert_chunk_tables_split(graphs, k):

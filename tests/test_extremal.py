@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import pickle
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from kreversible import extremal, tables
 from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
 from kreversible.trees import _graph_from_levels, canonical_code, free_tree_levels
+from conftest import random_tree
 
 
 def path_graph(n: int) -> Graph:
@@ -65,6 +67,30 @@ def test_search_top_tree(top_tree_n8):
     assert found.raw_config_count == 4
     assert found.mod_negation_count == 2
     assert found.orbit_count == 1  # the two attaining starts are automorphic images
+
+
+# sha256 of the canonical JSON of max_transient_search on random_tree(rng, n)
+# for n = 17, then 18, from random.Random(17), captured before the sweep ran
+# its loop on the distinct successors of the starts
+SEARCH_N17_N18_SHA256 = {
+    (17, 1): "7746b41f15c86fe84111ce702d8776b9fe658f6c4fe6a298e643159d4c130bc5",
+    (17, 2): "4472a8afa20b6c5cd94e20614903a03a3027c3bab09c036e902cf186c81fd2dc",
+    (18, 1): "7d34223629847dc1b71204729f20164987855a380b44599ec5cc3164018a1169",
+    (18, 2): "e303582e3a8a92ba98321aaf5d3d16e46e1c93a81f9588492bf411d02d519fd6",
+}
+
+
+def test_search_golden_on_random_trees_n17_n18():
+    rng = random.Random(17)
+    trees = [random_tree(rng, n) for n in (17, 18)]
+    digests = {
+        (g.n, k): hashlib.sha256(
+            canonical_json(max_transient_search(g, k, limit=18).to_json_dict()).encode()
+        ).hexdigest()
+        for g in trees
+        for k in (1, 2)
+    }
+    assert digests == SEARCH_N17_N18_SHA256
 
 
 def test_search_rejects_bad_input(triangle):
