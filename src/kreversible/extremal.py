@@ -162,8 +162,9 @@ def _start_worker(codes: frozenset[str]) -> None:
     freed mapped block, and its heap-trim threshold to twice that, so the
     sweep's arrays are then reused from the heap. Without it, each message
     boundary lets the heap be trimmed, and at n = 16 the next sweeps fault
-    their pages in again (about 400 page faults a tree, a quarter of the
-    worker's time)."""
+    their pages in again: over all n = 16 trees on 2 workers, 56-156 page
+    faults and 2.7-3.1 ms of worker CPU a tree without it, against 0.7 and
+    2.5-2.8 ms with it."""
     global _skip
     _skip = codes
     np.empty(16 << 20, dtype=np.uint8)

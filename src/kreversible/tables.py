@@ -32,8 +32,10 @@ energies, the violation messages).
 
 The sweep takes a chunk of graphs with one vertex count and runs them in
 one loop over the chunk's tables, so numpy's per-call cost is paid once per
-chunk, not once per graph. A chunk takes at most CHUNK_TABLE_BYTES at a
-budget of 12 bytes per state; sweep(g, k) is the chunk of one graph.
+chunk, not once per graph. A chunk holds as many graphs as fit
+CHUNK_TABLE_BYTES at a budget of 12 bytes per state, but at least one, so
+from n = 16 on one graph alone passes that cap; sweep(g, k) is the chunk of
+one graph.
 
 The loop runs on the first step's image, not on the starts. A start x off
 its cycle has tau(x) = 1 + tau(x(1)) and ends on x(1)'s cycle, with its
@@ -48,7 +50,9 @@ from the small per-state arrays through a rank table of the states; the
 starts on their cycle, the odd successors of the states with tau 0, are then
 set to tau 0. If the distinct x(1) are more than half the starts, as when
 k > max degree makes succ the identity, the loop runs on the starts
-themselves, where the marks and ranks would cost more than they save.
+themselves, where the marks and ranks would cost more than they save. Both
+loops carry traffic: at k = 2 the loop runs on the starts in 35 of the 261
+n = 13 chunks and in 660 of the 19,320 n = 16 chunks.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -60,16 +64,17 @@ halves the active set, so the compaction costs O(states) in all; it drops
 the closed states' indices first and compacts one array at a time, so the
 peak holds one array's copy, not all eight. The period (1 iff x(tau) is a
 fixed point) and the plateau energy E(x(tau)) are read from x(tau) once the
-loop is done, the energy widened to int64 as it is read and offset for
-k > n. A result stores no starts: entry j of a graph's arrays is start
-2j + 1, which SweepResult.start_bits derives.
+loop is done, the period built in int8 and the energy widened to int64 as
+it is read and offset for k > n; tau stays the loop's int16. A result
+stores no starts: entry j of a graph's arrays is start 2j + 1, which
+SweepResult.start_bits derives.
 
 Memory, in bytes per state of the chunk: 6 for the tables; 1 for the mark
 table, freed before the loop; about 15 for the loop's arrays when it runs on
 the starts (30 per start), at most half that when it runs on the distinct
-x(1); then 4 for the rank table and 2 for each start's rank; and 12 for the
-int64 results. A sweep of a 22-vertex path peaks at 117, 118 and 126 MiB RSS
-at k = 2, 1 and 2000.
+x(1); then 4 for the rank table and 2 for each start's rank; and 5.5 for the
+results, 11 bytes a start (see SweepResult). A sweep of a 22-vertex path
+peaks at 103, 103 and 122 MiB RSS at k = 2, 1 and 2000.
 
 Invariants are checked as the sweep runs, for each graph of a chunk — energy
 monotone over all 2^n transitions, transient within the graph's own proven
@@ -104,15 +109,16 @@ from .graphs import Graph
 # the cap. Building them allocates no other array that wide on sparse
 # graphs: the tables of a 22-vertex path peak at 54 MiB RSS, 24 MiB of them
 # the tables. A sweep adds 1 byte per state for the mark table and 4 for the
-# rank table, never at once, besides the loop and its int64 results (see the
-# module docstring): sweeping that path peaks at 117-126 MiB at k = 1, 2 and
-# 2000. Refuse anything bigger.
+# rank table, never at once, besides the loop and its results of 11 bytes a
+# start (see the module docstring): sweeping that path peaks at 103-122 MiB
+# at k = 1, 2 and 2000. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
 # tables. Sized at a budget of 12 bytes per state (the tables take 6 of
-# them), a chunk holds 5 trees at n = 13, 2 at n = 14, and from n = 15 on a
-# single graph. The mark table takes 1 byte per state and the rank table 4.
+# them and the results 5.5), a chunk holds 5 trees at n = 13, 2 at n = 14,
+# and from n = 15 on a single graph, which from n = 16 on passes the cap by
+# itself. The mark table takes 1 byte per state and the rank table 4.
 # The loop's own arrays take about 15 bytes per state on the starts (30 per
 # start, which is half a state space), and at n = 13 about 6 on the distinct
 # x(1), 40% of the starts. So the whole stays in a 2 MiB L2 cache and adds
@@ -171,7 +177,13 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-start outcome of an exhaustive sweep; entry j is start 2j + 1."""
+    """Per-start outcome of an exhaustive sweep; entry j is start 2j + 1.
+
+    taus is int16: tau is within the graph's budget n(max_degree+1)+1, at most
+    25 * 25 + 1 = 626 up to MAX_TABLE_VERTICES. periods is int8: by the paper
+    the period is 1 or 2. plateau_energies is int64: it carries n(k - n) for
+    k > n. All three are signed, so arithmetic such as taus - 1 cannot wrap.
+    """
 
     n: int
     k: int
@@ -240,7 +252,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         tau, cycle = _lockstep(succ, energy, states, n, budgets, n, violation)
 
     # per loop state: the period (1 iff x(tau) is a fixed point) and plateau energy
-    periods = np.where(np.take(succ, cycle) == cycle, 1, 2)
+    periods = np.add(np.take(succ, cycle) != cycle, 1, dtype=np.int8)
     plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
     if offset:  # in place: k < n makes no further full-width pass
         plateaus += offset
@@ -254,14 +266,13 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         partners = succ.take(states[tau == 0])
         on_cycle = partners[partners & 1 == 1] >> 1
     del succ, energy, cycle, x1, states  # free the tables (24 MiB at n = 22) first
-    taus = tau.astype(np.int64)
     if deduped:  # every other start takes one step to its x(1), then follows it
-        taus = (taus + 1).take(rank)
-        taus[on_cycle] = 0
+        tau = (tau + 1).take(rank)
+        tau[on_cycle] = 0
         periods, plateaus = periods.take(rank), plateaus.take(rank)
     return [
-        SweepResult(n, k, taus[i : i + half], periods[i : i + half], plateaus[i : i + half])
-        for i in range(0, len(taus), half)
+        SweepResult(n, k, tau[i : i + half], periods[i : i + half], plateaus[i : i + half])
+        for i in range(0, len(tau), half)
     ]
 
 
@@ -279,7 +290,8 @@ def _lockstep(
     energy stays constant for more than run_limit consecutive transient steps
     or whose transient passes budgets[x >> n] raises violation(start, what)."""
     m = len(starts)
-    taus = np.empty(m, dtype=np.uint16)  # budgets stay below 2^10 up to MAX_TABLE_VERTICES
+    # tau <= budget <= 626 up to MAX_TABLE_VERTICES; the SweepResult keeps this width
+    taus = np.empty(m, dtype=np.int16)
     cycle = np.empty(m, dtype=np.uint32)  # x(tau), where period and plateau are read
     least_budget = int(budgets.min())
 
@@ -291,7 +303,7 @@ def _lockstep(
     x1 = np.take(succ, x0)
     x2 = np.take(succ, x1)
     e0 = np.take(energy, x0)
-    tau = np.zeros(m, dtype=np.uint16)
+    tau = np.zeros(m, dtype=np.int16)
     run = np.zeros(m, dtype=np.uint8)  # the loop stops once a run passes run_limit <= n
     t = 0
     while True:

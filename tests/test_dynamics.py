@@ -341,7 +341,7 @@ def test_sweep_across_the_int16_energy_boundary():
     # being summed at n and the sweep starts adding n(k - n) to the plateau
     # energies; then the largest k with n * k in int16 and the next, whose
     # plateau energies pass the int16 range: results match the scalar engine
-    # and are int64 at every k
+    # at every k, with int16 taus, int8 periods and int64 plateau energies
     rng = random.Random(73)
     graphs = [crossing_path(12), random_connected_graph(rng, 12), random_tree(rng, 12)]
     top16 = np.iinfo(np.int16).max // 12
@@ -349,8 +349,9 @@ def test_sweep_across_the_int16_energy_boundary():
         for g, chunked in zip(graphs, tables.sweep_chunk(graphs, k)):
             res = sweep(g, k)
             assert_same_sweep(chunked, res)
-            for field in ("taus", "periods", "plateau_energies"):
-                assert getattr(res, field).dtype == np.int64, field
+            for field, dtype in zip(("taus", "periods", "plateau_energies"),
+                                    (np.int16, np.int8, np.int64)):
+                assert getattr(res, field).dtype == dtype, field
             for i, bits in enumerate(res.start_bits.tolist()):
                 r = run_trajectory(g, Configuration(g.n, bits), k)
                 assert (r.tau, r.period, r.plateau_energy) == (
@@ -613,6 +614,19 @@ def test_sweep_transient_of_exactly_the_budget_and_one_more(monkeypatch):
         "sweep exceeded the proven 13-step transient budget"
     )
     assert runs == [(12, 3), (24, 4)]
+
+
+def test_sweep_results_are_signed(monkeypatch):
+    # the 4-vertex star at k = 1 has starts of tau 0 and of period 1, and the
+    # loop runs on the distinct x(1); at k = 4 every start is fixed, and it
+    # runs on the starts. On both paths, results less a constant must not wrap.
+    runs = loop_runs(monkeypatch)
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for k in (1, 4):
+        res = sweep(star, k)
+        assert (res.taus - 1).min() == -1
+        assert (res.periods - 2).min() == -1
+    assert [limit for _, limit in runs] == [3, 4]
 
 
 def assert_chunk_tables_split(graphs, k):
