@@ -7,10 +7,14 @@ length tau and period by hashing each configuration the first time it is
 seen.
 
 The flip rule and the energy sum |op - k| come from the same per-vertex
-count, so one pass over the vertices per state yields both: step,
-config_energy and run_trajectory all go through that pass. A trajectory is
-kept as packed states and their energies; its trace of Configuration
-objects is built each time it is read.
+count, so one count per state yields both: step, config_energy and
+run_trajectory all go through _flips_and_energy. The count has two kernels.
+Below VECTOR_MIN_VERTICES it walks the vertices' neighbor masks on the
+packed int; from there on the state is unpacked to one byte per vertex and
+op is a bincount, by tail, of the graph's arcs whose ends differ (_ops), so
+the per-vertex work runs in numpy. Every graph small enough for the state
+tables stays on the walk. A trajectory is kept as packed states and their
+energies; its trace of Configuration objects is built each time it is read.
 
 Configurations are bit-packed: bit i set means vertex i holds state +1.
 """
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, invariant_violation
 from .graphs import Graph
@@ -86,12 +92,25 @@ def _check_compatible(g: Graph, x: Configuration) -> None:
         raise ValueError(f"graph has {g.n} vertices, configuration {x.n}")
 
 
-def _flips_and_energy(pairs: tuple[tuple[int, int], ...], bits: int, k: int) -> tuple[int, int]:
-    """One pass over the vertices of state ``bits``: the mask of vertices with
-    op >= k (those that flip) and the energy sum of |op - k|."""
+# The mask walk pays one Python-level step per vertex; the kernel pays a
+# fixed dozen numpy calls and then little per arc. Below this many vertices
+# the fixed cost is the larger, so every graph the tables cover keeps the walk.
+VECTOR_MIN_VERTICES = 64
+
+
+def _flips_and_energy(g: Graph, bits: int, k: int) -> tuple[int, int]:
+    """The mask of the vertices of state ``bits`` with op >= k (those that
+    flip) and the energy sum of |op - k|: a walk over the vertex masks on
+    small graphs, the arc kernel of _ops from VECTOR_MIN_VERTICES on."""
+    if g.n >= VECTOR_MIN_VERTICES:
+        ops = _ops(g, bits)
+        # op never reaches n, so above it every term is k - op: the sum runs
+        # in int64 at k = n and the rest, n(k - n), is added as a Python int
+        top = min(k, g.n)
+        return _pack(ops >= top), int(np.abs(ops - top).sum()) + g.n * (k - top)
     flip = energy = 0
     inverted = ~bits
-    for bit, mask in pairs:
+    for bit, mask in g._vertex_pairs:
         # neighbors whose state differs from this vertex's
         op = (mask & (inverted if bits & bit else bits)).bit_count()
         if op >= k:
@@ -102,10 +121,23 @@ def _flips_and_energy(pairs: tuple[tuple[int, int], ...], bits: int, k: int) -> 
     return flip, energy
 
 
-def _ops(pairs: tuple[tuple[int, int], ...], bits: int) -> list[int]:
-    """op of every vertex of state ``bits``: its neighbors in the other state."""
-    inverted = ~bits
-    return [(mask & (inverted if bits & bit else bits)).bit_count() for bit, mask in pairs]
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """State ``bits`` as one uint8 per vertex, 1 for state +1."""
+    packed = np.frombuffer(bits.to_bytes(-(-n // 8), "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _pack(members: np.ndarray) -> int:
+    """The bit mask of the vertices where ``members`` is true."""
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+def _ops(g: Graph, bits: int) -> np.ndarray:
+    """op of every vertex of state ``bits`` as an int64 array: its arcs whose
+    head holds the other state, counted by tail."""
+    tails, heads = g._arcs
+    x = _unpack(bits, g.n)
+    return np.bincount(tails, weights=x[tails] != x[heads], minlength=g.n).astype(np.int64)
 
 
 def _check_k(k: int) -> None:
@@ -117,7 +149,7 @@ def step(g: Graph, x: Configuration, k: int) -> Configuration:
     """One synchronous update: flip exactly the vertices with op >= k."""
     _check_compatible(g, x)
     _check_k(k)
-    flip, _ = _flips_and_energy(g._vertex_pairs, x.bits, k)
+    flip, _ = _flips_and_energy(g, x.bits, k)
     return Configuration(x.n, x.bits ^ flip)
 
 
@@ -125,7 +157,7 @@ def config_energy(g: Graph, x: Configuration, k: int) -> int:
     """Energy of a configuration: sum over vertices of |op - k|."""
     _check_compatible(g, x)
     _check_k(k)
-    _, energy = _flips_and_energy(g._vertex_pairs, x.bits, k)
+    _, energy = _flips_and_energy(g, x.bits, k)
     return energy
 
 
@@ -173,7 +205,6 @@ def run_trajectory(g: Graph, x0: Configuration, k: int) -> TrajectoryResult:
     _check_compatible(g, x0)
     _check_k(k)
     max_steps = g.n * (g.max_degree() + 1) + 3
-    pairs = g._vertex_pairs
     seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
     energies: list[int] = []
     bits = x0.bits
@@ -193,7 +224,7 @@ def run_trajectory(g: Graph, x0: Configuration, k: int) -> TrajectoryResult:
                 energies=tuple(energies),
             )
         seen[bits] = t
-        flip, energy = _flips_and_energy(pairs, bits, k)
+        flip, energy = _flips_and_energy(g, bits, k)
         energies.append(energy)
         bits ^= flip
     raise invariant_violation(

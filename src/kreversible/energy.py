@@ -8,15 +8,20 @@ transient-length bounds. delta_energy_breakdown is the one bookkeeping of a
 transition t -> t+1: E, the auxiliary E' (the partition at time t but op
 measured at t+1), S1/S2, the discordant-edge classes a/b/c and the
 per-vertex deltas are all read off the EnergyBreakdown it returns (S2, the
-complement of S1, when it is read). E' always equals E, and no vertex ever
-contributes negatively to E(t+1) - E(t). These identities are re-checked at
-runtime and raise InternalInvariantError on violation, since a failure is
-possible only through an implementation bug.
+complement of S1, when it is read). It reads op at t and at t+1 from the
+arc kernel of the dynamics at every n, and E, E', E(t+1), the op sums and
+the per-vertex deltas are array reductions over them; a/b/c are counted on
+the edge list. E' always equals E, and no vertex ever contributes
+negatively to E(t+1) - E(t). These identities are re-checked at runtime and
+raise InternalInvariantError on violation, since a failure is possible only
+through an implementation bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .dynamics import (
     Configuration,
@@ -24,6 +29,8 @@ from .dynamics import (
     _check_compatible,
     _check_k,
     _ops,
+    _pack,
+    _unpack,
 )
 from .errors import invariant_violation
 from .graphs import Graph, is_tree
@@ -79,36 +86,30 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
     """
     _check_compatible(g, x)
     _check_k(k)
-    pairs = g._vertex_pairs
-    bits = x.bits
-    ops = _ops(pairs, bits)
-    s1 = sum(bit for (bit, _), op in zip(pairs, ops) if op >= k)
-    ops_next = _ops(pairs, bits ^ s1)
+    n, bits = g.n, x.bits
+    # op never reaches n: above it S1 is empty and every term is k - op, so
+    # the terms run in int64 at k = n and each energy adds n(k - n) as an int
+    top = min(k, n)
+    above = n * (k - top)
+    ops = _ops(g, bits)
+    in_s1 = ops >= top
+    ops_next = _ops(g, bits ^ _pack(in_s1))
+    gap_next = ops_next - top
+    dist_next = np.abs(gap_next)
+    side = np.where(in_s1, 1, -1)  # a vertex's term is op - k in S1, k - op in S2
+    e_now = int(side @ (ops - top)) + above
+    e_aux = int(side @ gap_next) + above
+    e_next = int(dist_next.sum()) + above
+    op_sum_s1 = int(ops @ in_s1)
+    op_sum_s2 = int(ops.sum()) - op_sum_s1
+    # only a vertex that crosses the threshold contributes: 2|op(t+1) - k|
+    deltas = np.where(in_s1 != (gap_next >= 0), 2 * dist_next, 0)
 
-    e_now = e_aux = e_next = op_sum_s1 = op_sum_s2 = 0
-    deltas = []
-    for op, op_next in zip(ops, ops_next):
-        e_next += abs(op_next - k)
-        if op >= k:  # in S1
-            e_now += op - k
-            e_aux += op_next - k
-            op_sum_s1 += op
-            deltas.append(0 if op_next >= k else 2 * (k - op_next))
-        else:
-            e_now += k - op
-            e_aux += k - op_next
-            op_sum_s2 += op
-            deltas.append(2 * (op_next - k) if op_next >= k else 0)
-
-    # states and S1 membership per vertex, unpacked once rather than shifted
-    # out of the n-bit ints per edge
-    state = f"{bits:0{g.n}b}"[::-1]
-    in_s1 = [op >= k for op in ops]
-    by_ends_in_s1 = [0, 0, 0]  # discordant edges with 0, 1 or 2 ends in S1
-    for u, v in g.edges:
-        if state[u] != state[v]:
-            by_ends_in_s1[in_s1[u] + in_s1[v]] += 1
-    b, c, a = by_ends_in_s1
+    # each end adds its state (0 or 1) and 3 if it is in S1: the edges whose
+    # states differ sum to 1, 4 or 7 with 0, 1 or 2 ends in S1
+    code = _unpack(bits, n) + 3 * in_s1
+    u, v = g._edge_ends
+    b, c, a = np.bincount(code[u] + code[v], minlength=9)[1::3].tolist()
 
     if e_aux != e_now:
         raise invariant_violation(g, k, x, f"auxiliary energy {e_aux} differs from energy {e_now}")
@@ -116,20 +117,20 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
         raise invariant_violation(g, k, x, "op sum over s1 differs from 2a + c")
     if op_sum_s2 != 2 * b + c:
         raise invariant_violation(g, k, x, "op sum over s2 differs from 2b + c")
-    if sum(deltas) != e_next - e_now:
+    if int(deltas.sum()) != e_next - e_now:
         raise invariant_violation(g, k, x, "per-vertex deltas do not sum to the energy difference")
-    if min(deltas) < 0:
+    if deltas.min() < 0:
         raise invariant_violation(g, k, x, "negative per-vertex energy contribution")
     return EnergyBreakdown(
-        op_now=tuple(ops),
-        op_next=tuple(ops_next),
-        s1=frozenset(v for v, inside in enumerate(in_s1) if inside),
+        op_now=tuple(ops.tolist()),
+        op_next=tuple(ops_next.tolist()),
+        s1=frozenset(in_s1.nonzero()[0].tolist()),
         energy=e_now,
         energy_aux=e_aux,
         a_size=a,
         b_size=b,
         c_size=c,
-        per_vertex_delta=tuple(deltas),
+        per_vertex_delta=tuple(deltas.tolist()),
     )
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -37,7 +40,8 @@ class Graph:
     """Immutable simple graph. Build through :meth:`from_edges`.
 
     neighbor_masks[i] is a bitmask of i's neighbors (bit j set iff ij is an
-    edge); the dynamics hot path works on these masks directly.
+    edge); the dynamics' mask walk works on these masks directly, and its
+    arc kernel on the arrays of _arcs.
     """
 
     n: int
@@ -85,6 +89,22 @@ class Graph:
         dynamics walk on every step, built on first use and kept."""
         return tuple((1 << v, mask) for v, mask in enumerate(self.neighbor_masks))
 
+    @cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of the 2m arcs v -> w, one per entry of adjacency[v]:
+        what the vectorized op count gathers over, built on first use."""
+        tails = np.repeat(np.arange(self.n, dtype=np.intp), self.degrees)
+        heads = np.fromiter(chain.from_iterable(self.adjacency), np.intp, len(tails))
+        return tails, heads
+
+    @cached_property
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) of every edge of the edge list as arrays, built on first use.
+        Read off edges, not _arcs, so that the energy bookkeeping's edge
+        classes and its op counts come from independent data."""
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        return ends[0::2], ends[1::2]
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -93,6 +113,11 @@ class Graph:
         return max(self.degrees)
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        """A walk over the neighbor masks from vertex 0, made once per graph."""
         if self.n == 1:
             return True
         seen = 1  # bitmask of visited vertices, start from 0

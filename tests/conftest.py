@@ -233,6 +233,15 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, sorted(base))
 
 
+def random_sparse_graph(rng: random.Random, n: int) -> Graph:
+    """A random tree plus n - 1 more random edges: mean degree about 4."""
+    edges = set(random_tree(rng, n).edges)
+    while len(edges) < 2 * (n - 1):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
 @pytest.fixture(scope="session")
 def random_suite():
     """10^4 (graph, k, trajectory) instances: half trees, half connected

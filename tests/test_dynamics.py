@@ -22,7 +22,7 @@ from kreversible import (
     state_tables,
     sweep,
 )
-from kreversible import tables
+from kreversible import dynamics, tables
 from conftest import random_connected_graph, random_tree, relabel
 
 
@@ -250,40 +250,59 @@ def reference_bits(states: list[int]) -> int:
     return sum(1 << v for v, s in enumerate(states) if s == 1)
 
 
-def test_scalar_engine_matches_reference():
-    """op_counts, step, config_energy and run_trajectory against a reference
-    that works on +/-1 lists built from Graph.adjacency, not on bit masks."""
+@pytest.fixture(scope="module")
+def reference_walks() -> list:
+    """(g, x, op of every vertex, [(k, tau, [(t, bits, energy) of the walk])])
+    for every start of small stars, complete graphs and random graphs, at
+    every k in 1..max_degree+1 and at 2^40, from a reference that works on
+    +/-1 lists built from Graph.adjacency, not on bit masks."""
     rng = random.Random(67)
     graphs = [Graph.from_edges(1, [])]
     graphs += [Graph.from_edges(n, [(0, v) for v in range(1, n)]) for n in range(2, 9)]
     graphs += [Graph.from_edges(n, list(itertools.combinations(range(n), 2))) for n in range(2, 8)]
     graphs += [random_connected_graph(rng, n) for n in (2, 3, 4, 5, 6, 7, 8, 8)]
+    cases = []
     for g in graphs:
-        for k in [*range(1, g.max_degree() + 2), 1 << 40]:
-            for start in itertools.product((-1, 1), repeat=g.n):
-                states = list(start)
-                x = Configuration(g.n, reference_bits(states))
-                assert x.states == start
-                assert list(op_counts(g, x)) == reference_ops(g, states)
-                assert step(g, x, k).bits == reference_bits(reference_step(g, states, k))
-                assert config_energy(g, x, k) == reference_energy(g, states, k)
-
-                walk = [states]
+        for start in itertools.product((-1, 1), repeat=g.n):
+            x = Configuration(g.n, reference_bits(list(start)))
+            assert x.states == start
+            walks = []
+            for k in [*range(1, g.max_degree() + 2), 1 << 40]:
+                walk = [list(start)]
                 while walk[-1] not in walk[:-1]:
                     walk.append(reference_step(g, walk[-1], k))
-                tau = walk.index(walk[-1])
-                expected = [
+                steps = [
                     (t, reference_bits(s), reference_energy(g, s, k)) for t, s in enumerate(walk)
                 ]
-                r = run_trajectory(g, x, k)
-                assert (r.tau, r.period) == (tau, len(walk) - 1 - tau)
-                assert r.plateau_energy == expected[tau][2]
-                assert [(s.t, s.config.bits, s.energy) for s in r.trace] == expected
+                walks.append((k, walk.index(walk[-1]), steps))
+            cases.append((g, x, reference_ops(g, list(start)), walks))
+    return cases
+
+
+def check_scalar_engine(reference_walks: list) -> None:
+    """op_counts, step, config_energy and run_trajectory against the walks."""
+    for g, x, ops, walks in reference_walks:
+        assert list(op_counts(g, x)) == ops  # the same at every k
+        for k, tau, expected in walks:
+            assert step(g, x, k).bits == expected[1][1]
+            assert config_energy(g, x, k) == expected[0][2]
+            r = run_trajectory(g, x, k)
+            assert (r.tau, r.period) == (tau, len(expected) - 1 - tau)
+            assert r.plateau_energy == expected[tau][2]
+            assert [(s.t, s.config.bits, s.energy) for s in r.trace] == expected
+
+
+def test_scalar_engine_matches_reference(reference_walks):
+    check_scalar_engine(reference_walks)
+
+
+def test_arc_kernel_matches_reference(monkeypatch, reference_walks):
+    """The same graphs and starts with every step on the arc kernel."""
+    monkeypatch.setattr(dynamics, "VECTOR_MIN_VERTICES", 1)
+    check_scalar_engine(reference_walks)
 
 
 def test_trajectory_invariant_errors_name_edges_k_and_start(monkeypatch):
-    import kreversible.dynamics as dynamics
-
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     cycle = {0: 1, 1: 2, 2: 0}
     maps = {
@@ -292,11 +311,34 @@ def test_trajectory_invariant_errors_name_edges_k_and_start(monkeypatch):
     }
     for what, successor in maps.items():
         monkeypatch.setattr(
-            dynamics, "_flips_and_energy", lambda pairs, bits, k, f=successor: (bits ^ f(bits), 0)
+            dynamics, "_flips_and_energy", lambda g, bits, k, f=successor: (bits ^ f(bits), 0)
         )
         with pytest.raises(InternalInvariantError) as caught:
             run_trajectory(p4, parse_config("----", 4), 1)
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start ----: {what}"
+
+
+def test_trajectory_invariant_errors_above_the_crossover(monkeypatch):
+    """The same impossible trajectories on a path the arc kernel steps: only
+    op is replaced, so the kernel's flip mask and the loop's checks run."""
+    n = dynamics.VECTOR_MIN_VERTICES
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    cycle = {0: 1, 1: 2, 2: 0}
+    maps = {
+        "detected period 3, expected 1 or 2": lambda bits: cycle[bits],
+        f"no repeat within {3 * n + 3} steps; transient bound violated": lambda bits: bits + 1,
+    }
+    for what, successor in maps.items():
+        # op = k = 1 exactly on the vertices that differ between x and its successor
+        monkeypatch.setattr(
+            dynamics,
+            "_ops",
+            lambda g, bits, f=successor: dynamics._unpack(bits ^ f(bits), g.n).astype(np.int64),
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            run_trajectory(path, Configuration(n, 0), 1)
+        edges = [[v, v + 1] for v in range(1, n)]
+        assert str(caught.value) == f"edges={edges} k=1 start {'-' * n}: {what}"
 
 
 def crossing_path(n: int) -> Graph:

@@ -17,9 +17,10 @@ from kreversible import (
     run_trajectory,
     step,
 )
+from kreversible import dynamics
 from kreversible.graphs import Graph, parse_edge_list
 
-from conftest import max_energy, random_connected_graph, random_tree
+from conftest import max_energy, random_connected_graph, random_sparse_graph, random_tree
 
 
 def split(g, x, k):
@@ -272,6 +273,50 @@ def test_breakdown_matches_reference():
                 assert delta_energy_breakdown(g, x, k).to_json_dict() == expected
 
 
+def test_kernels_agree_above_the_crossover(monkeypatch):
+    """Seeded trees and sparse graphs with n = 64..300, at every k in
+    1..max_degree+1 and at 2^70: run_trajectory gives the same result on the
+    mask walk and on the arc kernel, and the breakdown of every state on the
+    way matches the reference, field by field and in Python types."""
+    rng = random.Random(131)
+    graphs = [random_tree(rng, 64), random_sparse_graph(rng, 97)]
+    graphs += [random_tree(rng, 180), random_sparse_graph(rng, 300)]
+    for g in graphs:
+        for k in [*range(1, g.max_degree() + 2), 1 << 70]:
+            x = Configuration(g.n, rng.getrandbits(g.n))
+            monkeypatch.setattr(dynamics, "VECTOR_MIN_VERTICES", g.n + 1)
+            walked = run_trajectory(g, x, k)
+            monkeypatch.setattr(dynamics, "VECTOR_MIN_VERTICES", g.n)
+            assert run_trajectory(g, x, k) == walked
+            for s in walked.trace:
+                b = delta_energy_breakdown(g, s.config, k)
+                expected = reference_breakdown(g.n, g.edges, list(s.config.states), k)
+                assert b.to_json_dict() == expected
+                scalars = (b.energy, b.energy_aux, b.a_size, b.b_size, b.c_size)
+                values = (*b.op_now, *b.op_next, *b.s1, *b.per_vertex_delta, *scalars)
+                assert {type(v) for v in values} == {int} and type(b.s1) is frozenset
+
+
+def test_energies_are_exact_at_a_threshold_beyond_int64(p3):
+    """At k = 2^70 no vertex flips and every term is k - op, so the energy
+    is n * k - 2 * (discordant edges): on a 3-vertex path (the mask walk), on
+    a 100-vertex graph (the arc kernel) and in the breakdown of both."""
+    rng = random.Random(71)
+    k = 1 << 70
+    for g in (p3, random_sparse_graph(rng, 100)):
+        x = Configuration(g.n, rng.getrandbits(g.n))
+        discordant = sum(1 for u, v in g.edges if x.states[u] != x.states[v])
+        energy = g.n * k - 2 * discordant
+        assert step(g, x, k) == x
+        assert config_energy(g, x, k) == energy
+        r = run_trajectory(g, x, k)
+        assert (r.tau, r.period, r.energies) == (0, 1, (energy, energy))
+        b = delta_energy_breakdown(g, x, k)
+        assert (b.energy, b.energy_aux, b.s1) == (energy, energy, frozenset())
+        assert (b.a_size, b.b_size, b.c_size) == (0, discordant, 0)
+        assert b.per_vertex_delta == (0,) * g.n
+
+
 def test_breakdown_invariant_errors_name_edges_k_and_start(monkeypatch, p3):
     import kreversible.energy as energy_module
 
@@ -279,8 +324,8 @@ def test_breakdown_invariant_errors_name_edges_k_and_start(monkeypatch, p3):
     real = energy_module._ops
     calls = []
 
-    def bumped_second_call(pairs, bits):  # the second call reads op at t+1
-        ops = real(pairs, bits)
+    def bumped_second_call(g, bits):  # the second call reads op at t+1
+        ops = real(g, bits)
         calls.append(bits)
         if len(calls) == 2:
             ops[0] += 1
