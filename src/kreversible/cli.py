@@ -23,7 +23,7 @@ from .extremal import (
     max_transient_search,
     verify_conjecture,
 )
-from .graphs import Graph, parse_edge_list
+from .graphs import Graph, _one_based, parse_edge_list
 from .trees import canonical_code
 from .serialize import edges_to_text, render, text_header
 
@@ -121,7 +121,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     simulate = args.verify or args.format == "csv"  # CSV rows carry tau
     items, lines, records = [], [], []
     for index, (g, x) in enumerate(family, start=1):
-        item = dict(index=index, edges=[[u + 1, v + 1] for u, v in g.edges], config=x.to_string())
+        item = dict(index=index, edges=_one_based(g.edges), config=x.to_string())
         line = f"tree {index}: edges={edges_to_text(g.edges)} config={x.to_string()}"
         if simulate:
             run = run_trajectory(g, x, 2)

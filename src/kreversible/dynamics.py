@@ -16,6 +16,11 @@ the per-vertex work runs in numpy. Every graph small enough for the state
 tables stays on the walk. A trajectory is kept as packed states and their
 energies; its trace of Configuration objects is built each time it is read.
 
+op never reaches n, so from k = n on no vertex flips and every term is
+k - op: E_k = E_n + n(k - n). _cap_k is the one statement of that rule; the
+arc kernel, the energy bookkeeping and the state tables sum at min(k, n) and
+add the offset as a Python int, so any k stays exact.
+
 Configurations are bit-packed: bit i set means vertex i holds state +1.
 """
 
@@ -87,9 +92,16 @@ def parse_config(text: str, n: int) -> Configuration:
     return Configuration(n, int("0" + s[::-1].translate(_TO_DIGITS), 2))
 
 
-def _check_compatible(g: Graph, x: Configuration) -> None:
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"threshold k must be >= 1, got {k}")
+
+
+def _check_compatible(g: Graph, x: Configuration, k: int) -> None:
+    """The checks of every per-state call: x fits g, then k >= 1."""
     if g.n != x.n:
         raise ValueError(f"graph has {g.n} vertices, configuration {x.n}")
+    _check_k(k)
 
 
 # The mask walk pays one Python-level step per vertex; the kernel pays a
@@ -98,16 +110,21 @@ def _check_compatible(g: Graph, x: Configuration) -> None:
 VECTOR_MIN_VERTICES = 64
 
 
+def _cap_k(k: int, n: int) -> tuple[int, int]:
+    """(min(k, n), n * max(0, k - n)): the threshold an n-vertex energy is
+    summed at, and what E_k adds to that sum. op < n, so from k = n on no
+    vertex flips and each term grows by 1 with k."""
+    return min(k, n), n * max(0, k - n)
+
+
 def _flips_and_energy(g: Graph, bits: int, k: int) -> tuple[int, int]:
     """The mask of the vertices of state ``bits`` with op >= k (those that
     flip) and the energy sum of |op - k|: a walk over the vertex masks on
     small graphs, the arc kernel of _ops from VECTOR_MIN_VERTICES on."""
     if g.n >= VECTOR_MIN_VERTICES:
-        ops = _ops(g, bits)
-        # op never reaches n, so above it every term is k - op: the sum runs
-        # in int64 at k = n and the rest, n(k - n), is added as a Python int
-        top = min(k, g.n)
-        return _pack(ops >= top), int(np.abs(ops - top).sum()) + g.n * (k - top)
+        ops = _ops(g, _unpack(bits, g.n))
+        top, offset = _cap_k(k, g.n)  # the sum runs in int64, the offset as an int
+        return _pack(ops >= top), int(np.abs(ops - top).sum()) + offset
     flip = energy = 0
     inverted = ~bits
     for bit, mask in g._vertex_pairs:
@@ -132,31 +149,24 @@ def _pack(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
-def _ops(g: Graph, bits: int) -> np.ndarray:
-    """op of every vertex of state ``bits`` as an int64 array: its arcs whose
-    head holds the other state, counted by tail."""
+def _ops(g: Graph, state: np.ndarray) -> np.ndarray:
+    """op of every vertex as an int64 array, given the state unpacked to one
+    value per vertex: its arcs whose head holds the other state, counted by
+    tail."""
     tails, heads = g._arcs
-    x = _unpack(bits, g.n)
-    return np.bincount(tails, weights=x[tails] != x[heads], minlength=g.n).astype(np.int64)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
+    return np.bincount(tails, weights=state[tails] != state[heads], minlength=g.n).astype(np.int64)
 
 
 def step(g: Graph, x: Configuration, k: int) -> Configuration:
     """One synchronous update: flip exactly the vertices with op >= k."""
-    _check_compatible(g, x)
-    _check_k(k)
+    _check_compatible(g, x, k)
     flip, _ = _flips_and_energy(g, x.bits, k)
     return Configuration(x.n, x.bits ^ flip)
 
 
 def config_energy(g: Graph, x: Configuration, k: int) -> int:
     """Energy of a configuration: sum over vertices of |op - k|."""
-    _check_compatible(g, x)
-    _check_k(k)
+    _check_compatible(g, x, k)
     _, energy = _flips_and_energy(g, x.bits, k)
     return energy
 
@@ -202,8 +212,7 @@ def run_trajectory(g: Graph, x0: Configuration, k: int) -> TrajectoryResult:
     and raises InternalInvariantError naming the edges, k and the start
     configuration.
     """
-    _check_compatible(g, x0)
-    _check_k(k)
+    _check_compatible(g, x0, k)
     max_steps = g.n * (g.max_degree() + 1) + 3
     seen: dict[int, int] = {}  # state -> first t; insertion order is the trajectory
     energies: list[int] = []

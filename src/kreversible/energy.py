@@ -8,13 +8,14 @@ transient-length bounds. delta_energy_breakdown is the one bookkeeping of a
 transition t -> t+1: E, the auxiliary E' (the partition at time t but op
 measured at t+1), S1/S2, the discordant-edge classes a/b/c and the
 per-vertex deltas are all read off the EnergyBreakdown it returns (S2, the
-complement of S1, when it is read). It reads op at t and at t+1 from the
-arc kernel of the dynamics at every n, and E, E', E(t+1), the op sums and
-the per-vertex deltas are array reductions over them; a/b/c are counted on
-the edge list. E' always equals E, and no vertex ever contributes
-negatively to E(t+1) - E(t). These identities are re-checked at runtime and
-raise InternalInvariantError on violation, since a failure is possible only
-through an implementation bug.
+complement of S1, when it is read). It unpacks the state once and reads
+op at t and at t+1 from the arc kernel of the dynamics at every n; E, E',
+E(t+1), the op sums and the per-vertex deltas are array reductions over
+them, at the threshold and offset that dynamics._cap_k gives for k >= n;
+a/b/c are counted on the edge list. E' always equals E, and no vertex ever
+contributes negatively to E(t+1) - E(t). These identities are re-checked at
+runtime and raise InternalInvariantError on violation, since a failure is
+possible only through an implementation bug.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 from .dynamics import (
     Configuration,
     TrajectoryResult,
+    _cap_k,
     _check_compatible,
     _check_k,
     _ops,
-    _pack,
     _unpack,
 )
 from .errors import invariant_violation
@@ -75,7 +76,7 @@ class EnergyBreakdown:
 def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdown:
     """The energy bookkeeping of the transition x -> x(t+1).
 
-    S1 is the bit mask of the vertices with op >= k, which is also the set
+    S1 is the set of the vertices with op >= k, which is also the set
     the step flips. a, b and c count the discordant edges inside S1, inside
     S2 and between them from the edge list, not from op, so the handshake
     identities sum_{S1} op = 2a + c and sum_{S2} op = 2b + c are real checks.
@@ -84,16 +85,12 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
     S2 -> S1 contributes 2(op(t+1) - k). E = E', both handshake identities,
     the sum of the contributions and their sign are checked on every call.
     """
-    _check_compatible(g, x)
-    _check_k(k)
-    n, bits = g.n, x.bits
-    # op never reaches n: above it S1 is empty and every term is k - op, so
-    # the terms run in int64 at k = n and each energy adds n(k - n) as an int
-    top = min(k, n)
-    above = n * (k - top)
-    ops = _ops(g, bits)
+    _check_compatible(g, x, k)
+    top, above = _cap_k(k, g.n)  # S1 is empty from k = n on
+    state = _unpack(x.bits, g.n)  # 1 where the vertex holds +1
+    ops = _ops(g, state)
     in_s1 = ops >= top
-    ops_next = _ops(g, bits ^ _pack(in_s1))
+    ops_next = _ops(g, state ^ in_s1)
     gap_next = ops_next - top
     dist_next = np.abs(gap_next)
     side = np.where(in_s1, 1, -1)  # a vertex's term is op - k in S1, k - op in S2
@@ -107,7 +104,7 @@ def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdow
 
     # each end adds its state (0 or 1) and 3 if it is in S1: the edges whose
     # states differ sum to 1, 4 or 7 with 0, 1 or 2 ends in S1
-    code = _unpack(bits, n) + 3 * in_s1
+    code = state + 3 * in_s1
     u, v = g._edge_ends
     b, c, a = np.bincount(code[u] + code[v], minlength=9)[1::3].tolist()
 

@@ -26,6 +26,7 @@ def invariant_violation(
     ``start`` on graph g at threshold k. It names the tree code (when given),
     the 1-based edges, k and the start, which one `kreversible simulate` or
     `kreversible energy-trace` call replays."""
-    edges = [[u + 1, v + 1] for u, v in g.edges]
+    from .graphs import _one_based  # graphs imports this module
+
     where = f"tree {tree} " if tree is not None else ""
-    return InternalInvariantError(f"{where}edges={edges} k={k} start {start}: {what}")
+    return InternalInvariantError(f"{where}edges={_one_based(g.edges)} k={k} start {start}: {what}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
-from .graphs import Edge, Graph, is_tree
+from .graphs import Edge, Graph, _one_based, is_tree
 from .tables import SweepResult, chunk_size, sweep, sweep_chunk
 from .trees import _graph_from_levels, canonical_code, free_tree_levels
 
@@ -69,7 +69,7 @@ class ExtremalRecord:
     def to_json_dict(self) -> dict:
         return {
             "tree_code": self.tree_code,
-            "edges": [[u + 1, v + 1] for u, v in self.tree_edges],
+            "edges": _one_based(self.tree_edges),
             "config": self.config.to_string(),
             "tau": self.tau,
             "period": self.period,
@@ -79,9 +79,9 @@ class ExtremalRecord:
 def config_orbit_code(g: Graph, x: Configuration) -> bytes:
     """Canonical code of a colored tree modulo relabeling AND global negation;
     equal codes mean the configurations are the same up to symmetry."""
-    colors = [(x.bits >> v) & 1 for v in range(g.n)]
-    inverted = [1 - c for c in colors]
-    return min(canonical_code(g, colors), canonical_code(g, inverted))
+    return min(
+        canonical_code(g, [(y.bits >> v) & 1 for v in range(g.n)]) for y in (x, x.negate())
+    )
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,12 @@ _skip: frozenset[str] = frozenset()  # a pool worker's copy of the loaded ledger
 
 
 def _start_worker(codes: frozenset[str]) -> None:
-    """Pool initializer. Besides the codes to skip, it frees one 16 MiB
+    """Pool initializer. Besides the codes to skip, it frees one large
     array, never touched: glibc raises its mmap threshold to the size of a
     freed mapped block, and its heap-trim threshold to twice that, so the
     sweep's arrays are then reused from the heap. Without it, each message
     boundary lets the heap be trimmed, and at n = 16 the next sweeps fault
-    their pages in again: over all n = 16 trees on 2 workers, 56-156 page
-    faults and 2.7-3.1 ms of worker CPU a tree without it, against 0.7 and
-    2.5-2.8 ms with it."""
+    their pages in again."""
     global _skip
     _skip = codes
     np.empty(16 << 20, dtype=np.uint8)
@@ -202,8 +200,8 @@ def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False)
     """Step 2: each stored start, then its negation, must run to (tau_max,
     period) on the scalar engine; `runs` caps the number of runs. A miss
     raises ParseError for a ledger result, else InternalInvariantError."""
-    n, negate = result.tree.n, (1 << result.tree.n) - 1  # xor with every bit set
-    probes = ((Configuration(n, b ^ flip), p) for b, p in result.starts for flip in (0, negate))
+    starts = ((Configuration(result.tree.n, b), p) for b, p in result.starts)
+    probes = ((y, p) for x, p in starts for y in (x, x.negate()))
     for x, period in islice(probes, runs):
         run = run_trajectory(result.tree, x, result.k)
         stored, seen = (result.tau_max, period), (run.tau, run.period)
@@ -249,21 +247,39 @@ def expected_tree_count(n: int) -> int:
 class ConjectureReport:
     """Aggregate result of the exhaustive search over all trees for one n.
 
-    extremal holds the result of every tree attaining tau_max, by tree code.
-    verdict is "pass" iff tau_max = n - 3 and the extremal tree count matches
-    expected_tree_count. Configuration counts per extremal tree are read off
-    its result: raw, modulo negation, and modulo negation + automorphism (orbit
-    codes, computed on first read), so the claim can be audited under each reading.
+    extremal holds the result of every tree attaining tau_max, by tree code;
+    it is all the report stores besides n and k, and every count and the
+    verdict are read off it. verdict is "pass" iff tau_max = n - 3 and the
+    extremal tree count matches expected_tree_count. Configuration counts per
+    extremal tree are read off its result: raw, modulo negation, and modulo
+    negation + automorphism (orbit codes, computed on first read), so the
+    claim can be audited under each reading.
     """
 
     n: int
     k: int
-    tau_max: int
-    expected_tau_max: int
-    tree_count: int
-    expected_tree_count: int
     extremal: tuple[SearchResult, ...]
-    verdict: str
+
+    @property
+    def tau_max(self) -> int:
+        return self.extremal[0].tau_max
+
+    @property
+    def expected_tau_max(self) -> int:
+        return self.n - 3
+
+    @property
+    def tree_count(self) -> int:
+        return len(self.extremal)
+
+    @property
+    def expected_tree_count(self) -> int:
+        return expected_tree_count(self.n)
+
+    @property
+    def verdict(self) -> str:
+        expected = (self.expected_tau_max, self.expected_tree_count)
+        return "pass" if (self.tau_max, self.tree_count) == expected else "fail"
 
     @property
     def extremal_records(self) -> tuple[ExtremalRecord, ...]:
@@ -306,7 +322,7 @@ def _ledger_line(result: SearchResult) -> str:
             "n": result.tree.n,
             "k": result.k,
             "code": result.tree_code,
-            "edges": [[u + 1, v + 1] for u, v in result.tree.edges],
+            "edges": _one_based(result.tree.edges),
             "tau_max": result.tau_max,
             "configs": [[Configuration(result.tree.n, b).to_string(), p] for b, p in result.starts],
         },
@@ -435,18 +451,7 @@ def verify_conjecture(
     extremal.sort(key=lambda s: s.tree_code)
     for result in extremal:  # only the reported trees meet the scalar engine
         _replay(result, ledger=result.tree_code in skip)
-    tau_max = extremal[0].tau_max
-    verdict = "pass" if tau_max == n - 3 and len(extremal) == expected_tree_count(n) else "fail"
-    return ConjectureReport(
-        n=n,
-        k=k,
-        tau_max=tau_max,
-        expected_tau_max=n - 3,
-        tree_count=len(extremal),
-        expected_tree_count=expected_tree_count(n),
-        extremal=tuple(extremal),
-        verdict=verdict,
-    )
+    return ConjectureReport(n, k, tuple(extremal))
 
 
 def _ordered_pair(a: int, b: int) -> Edge:

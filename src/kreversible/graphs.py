@@ -19,6 +19,11 @@ from .errors import ParseError
 Edge = tuple[int, int]
 
 
+def _one_based(edges: tuple[Edge, ...]) -> list[list[int]]:
+    """Edges as the 1-based [u, v] pairs that reports and messages print."""
+    return [[u + 1, v + 1] for u, v in edges]
+
+
 class MalformedLineError(ParseError):
     """A line that is not a header, comment, or 'u v' pair."""
 

@@ -25,17 +25,17 @@ energy is added. state_tables(g, k) is the chunk of one, whose union is
 N[v]: no other temporary spans the whole space unless N[v] holds every high
 bit.
 
-For k >= n no vertex flips and each term is k - op_v, so E_k = E_n + n(k - n):
-the tables are summed at min(k, n), in int16 at every k, and n*max(0, k - n)
-is added only where energies leave this module (state_tables, the plateau
-energies, the violation messages).
+For k >= n no vertex flips and each term is k - op_v, so E_k = E_n + n(k - n)
+(dynamics._cap_k): the tables are summed at min(k, n), in int16 at every k,
+and the offset is added only where energies leave this module (state_tables,
+the plateau energies, the violation messages).
 
 The sweep takes a chunk of graphs with one vertex count and runs them in
 one loop over the chunk's tables, so numpy's per-call cost is paid once per
 chunk, not once per graph. A chunk holds as many graphs as fit
-CHUNK_TABLE_BYTES at a budget of 12 bytes per state, but at least one, so
-from n = 16 on one graph alone passes that cap; sweep(g, k) is the chunk of
-one graph.
+CHUNK_TABLE_BYTES at a budget of 12 bytes per state (the tables and the
+results), but at least one, so from n = 16 on one graph alone passes that
+cap; sweep(g, k) is the chunk of one graph.
 
 The loop runs on the first step's image, not on the starts. A start x off
 its cycle has tau(x) = 1 + tau(x(1)) and ends on x(1)'s cycle, with its
@@ -43,16 +43,14 @@ period and plateau energy. A start on its cycle, x(2) = x(0), has tau 0, and
 x(1) is on the same cycle, a fixed point iff x is, and at the same energy,
 since the monotonicity check (made first) holds energy constant on a cycle.
 The x(1), read from succ[1::2], are marked in a boolean table and taken with
-flatnonzero: they are 15% of the starts on a random 22-vertex tree at k = 2,
-1.4% at k = 1, and 40% over the n = 13 chunks. The loop runs on these
+flatnonzero, typically under half the starts. The loop runs on these
 distinct states, and each start's tau, period and plateau are then gathered
 from the small per-state arrays through a rank table of the states; the
 starts on their cycle, the odd successors of the states with tau 0, are then
 set to tau 0. If the distinct x(1) are more than half the starts, as when
 k > max degree makes succ the identity, the loop runs on the starts
 themselves, where the marks and ranks would cost more than they save. Both
-loops carry traffic: at k = 2 the loop runs on the starts in 35 of the 261
-n = 13 chunks and in 660 of the 19,320 n = 16 chunks.
+loops carry traffic at k = 2.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -69,12 +67,12 @@ it is read and offset for k > n; tau stays the loop's int16. A result
 stores no starts: entry j of a graph's arrays is start 2j + 1, which
 SweepResult.start_bits derives.
 
-Memory, in bytes per state of the chunk: 6 for the tables; 1 for the mark
-table, freed before the loop; about 15 for the loop's arrays when it runs on
-the starts (30 per start), at most half that when it runs on the distinct
-x(1); then 4 for the rank table and 2 for each start's rank; and 5.5 for the
-results, 11 bytes a start (see SweepResult). A sweep of a 22-vertex path
-peaks at 103, 103 and 122 MiB RSS at k = 2, 1 and 2000.
+Memory, in bytes per state of the chunk: 6 for the tables (4 successor, 2
+energy); 1 for the mark table, freed before the loop; about 15 for the
+loop's arrays when it runs on the starts (30 per start), at most half that
+when it runs on the distinct x(1); then 4 for the rank table and 2 for each
+start's rank; and 5.5 for the results, 11 bytes a start (see SweepResult).
+The tables are freed before the results are gathered through the rank.
 
 Invariants are checked as the sweep runs, for each graph of a chunk — energy
 monotone over all 2^n transitions, transient within the graph's own proven
@@ -101,28 +99,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Configuration, _check_k
+from .dynamics import Configuration, _cap_k, _check_k
 from .errors import InternalInvariantError, invariant_violation
 from .graphs import Graph
 
-# The tables take 4 + 2 bytes per state at every k, 2^25 * 6 B = 192 MiB at
-# the cap. Building them allocates no other array that wide on sparse
-# graphs: the tables of a 22-vertex path peak at 54 MiB RSS, 24 MiB of them
-# the tables. A sweep adds 1 byte per state for the mark table and 4 for the
-# rank table, never at once, besides the loop and its results of 11 bytes a
-# start (see the module docstring): sweeping that path peaks at 103-122 MiB
-# at k = 1, 2 and 2000. Refuse anything bigger.
+# Every array of a sweep is a fixed number of bytes per state (see the module
+# docstring), so memory doubles with each vertex. Building the tables
+# allocates no other array that wide on sparse graphs. Refuse anything bigger.
 MAX_TABLE_VERTICES = 25
 
 # A chunk of graphs is swept as one lockstep loop over their concatenated
-# tables. Sized at a budget of 12 bytes per state (the tables take 6 of
-# them and the results 5.5), a chunk holds 5 trees at n = 13, 2 at n = 14,
-# and from n = 15 on a single graph, which from n = 16 on passes the cap by
-# itself. The mark table takes 1 byte per state and the rank table 4.
-# The loop's own arrays take about 15 bytes per state on the starts (30 per
-# start, which is half a state space), and at n = 13 about 6 on the distinct
-# x(1), 40% of the starts. So the whole stays in a 2 MiB L2 cache and adds
-# under 1 MiB to the peak RSS of an n = 13 run.
+# tables, at the module docstring's budget per state. The cap keeps a
+# chunk's tables, results and loop arrays within a core's L2 cache, so
+# chunking adds little to a run's peak RSS.
 CHUNK_TABLE_BYTES = 512 << 10
 
 
@@ -130,14 +119,14 @@ def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays over all 2^n packed configurations, the
     energy in int64."""
     succ, energy = chunk_tables([g], k)
-    return succ, np.add(energy, g.n * max(0, k - g.n), dtype=np.int64)
+    return succ, np.add(energy, _cap_k(k, g.n)[1], dtype=np.int64)
 
 
 def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays of graphs with one vertex count, built
     together: state x of graph i is i << n | x, and its successor carries
-    the same offset. The energy is int16, summed at min(k, n): E_k less
-    n * max(0, k - n)."""
+    the same offset. The energy is int16, summed at the threshold _cap_k
+    gives: E_k less its offset."""
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("a chunk takes graphs with one vertex count")
@@ -147,7 +136,7 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
     if n * (k + 1) > np.iinfo(np.int64).max:
         # energies and the transient bound n*(k+1) - 1 are int64
         raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")
-    k = min(k, n)  # op_v < n: from k = n on no vertex flips, and each term grows by 1 with k
+    k, _ = _cap_k(k, n)
     low = n // 2
     high = n - low
     shape = (len(graphs),) + (2,) * high + (1 << low,)
@@ -198,7 +187,7 @@ class SweepResult:
 
 def chunk_size(n: int) -> int:
     """How many n-vertex graphs one sweep_chunk call takes: as many as fit
-    CHUNK_TABLE_BYTES at a budget of 12 bytes per state, at least one."""
+    CHUNK_TABLE_BYTES at the module docstring's budget, at least one."""
     return max(1, CHUNK_TABLE_BYTES // (12 << n))
 
 
@@ -218,7 +207,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
     """
     n = graphs[0].n
     succ, energy = chunk_tables(graphs, k)
-    offset = n * max(0, k - n)  # E_k - E_min(k, n), for the energies that leave
+    _, offset = _cap_k(k, n)  # for the energies that leave
 
     def violation(state, what: str) -> InternalInvariantError:
         g = graphs[int(state) >> n]
@@ -265,7 +254,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         # is such a start, at position x >> 1
         partners = succ.take(states[tau == 0])
         on_cycle = partners[partners & 1 == 1] >> 1
-    del succ, energy, cycle, x1, states  # free the tables (24 MiB at n = 22) first
+    del succ, energy, cycle, x1, states  # free the tables before the gathers
     if deduped:  # every other start takes one step to its x(1), then follows it
         tau = (tau + 1).take(rank)
         tau[on_cycle] = 0

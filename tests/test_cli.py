@@ -174,6 +174,15 @@ STDOUT_SHA256 = [
      "6998b75de757d8902e6dbcdd7a161b58355136220377fac13aa04fa4ee7800c5"),
     ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "3"], 0,
      "9cbd377098dddd3619a3721302e2dd24b6d4dfeaa860450bb5ff9b79a5e8810f"),
+    # k > n: no vertex flips and every energy carries the offset n(k - n)
+    ("p3", ["energy-trace", "--config", "+-+", "--k", "5"], 0,
+     "5cae6c394f43c6db58b965eb48e46c471547c916f0f8b0c09ec828a4daef9041"),
+    ("top", ["energy-trace", "--config", "+-+-+-+-", "--k", "9"], 0,
+     "82747cf7467b75b4d13bd626f7f4132f483619c49b0b8b9fdf13244418b4113e"),
+    ("top", ["simulate", "--config", "+-+-+-+-", "--trace", "--format", "json", "--k", "9"], 0,
+     "ec48212b33bcdcf54e37b9bf8ed11feeb7037831d3b45c0e0f6a5b46784bfc83"),
+    ("top", ["bounds", "--k", "9", "--config", "+-+-+-+-"], 0,
+     "6f0c8716d35b5c9587a39e7fbafc752396db81c7d98f00e392b298fd203aa44c"),
     ("top", ["simulate", "--config", "+-+-+-+-", "--trace", "--format", "json"], 0,
      "71c062b26436ae0cdcb76043a93625ac7020249abede61a1a754da664d8017f6"),
     ("top", ["simulate", "--config", "+-+-+-+-", "--trace"], 0,

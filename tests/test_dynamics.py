@@ -329,12 +329,13 @@ def test_trajectory_invariant_errors_above_the_crossover(monkeypatch):
         f"no repeat within {3 * n + 3} steps; transient bound violated": lambda bits: bits + 1,
     }
     for what, successor in maps.items():
-        # op = k = 1 exactly on the vertices that differ between x and its successor
-        monkeypatch.setattr(
-            dynamics,
-            "_ops",
-            lambda g, bits, f=successor: dynamics._unpack(bits ^ f(bits), g.n).astype(np.int64),
-        )
+        # op = k = 1 exactly on the vertices that differ between x and its
+        # successor; _ops is handed the state unpacked, one value per vertex
+        def ops(g, state, f=successor):
+            bits = dynamics._pack(state)
+            return dynamics._unpack(bits ^ f(bits), g.n).astype(np.int64)
+
+        monkeypatch.setattr(dynamics, "_ops", ops)
         with pytest.raises(InternalInvariantError) as caught:
             run_trajectory(path, Configuration(n, 0), 1)
         edges = [[v, v + 1] for v in range(1, n)]

@@ -390,6 +390,15 @@ def test_cross_validation_reports_the_n5_gap():
     assert kinds == ["extremal", "tree"]
 
 
+def test_report_counts_and_verdict_follow_its_extremal_trees():
+    report = verify_conjecture(8)
+    assert [f.name for f in dataclasses.fields(report)] == ["n", "k", "extremal"]
+    assert (report.tree_count, report.verdict) == (4, "pass")
+    fewer = dataclasses.replace(report, extremal=report.extremal[1:])
+    assert (fewer.tau_max, fewer.tree_count, fewer.verdict) == (5, 3, "fail")
+    assert fewer.to_json_dict()["tree_count"] == 3
+
+
 def test_cross_validation_reports_each_kind_of_failure(monkeypatch):
     report8 = verify_conjecture(8)
     cv = cross_validate_generator(dataclasses.replace(report8, extremal=report8.extremal[1:]))
