@@ -18,6 +18,7 @@ from .energy import bound_report, delta_energy_breakdown
 from .errors import InternalInvariantError
 from .extremal import (
     ExtremalRecord,
+    _expected_tau_max,
     cross_validate_generator,
     generate_extremal_family,
     max_transient_search,
@@ -117,7 +118,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     family = generate_extremal_family(args.n)
-    expected_tau = args.n - 3
+    expected_tau = _expected_tau_max(args.n)
     simulate = args.verify or args.format == "csv"  # CSV rows carry tau
     items, lines, records = [], [], []
     for index, (g, x) in enumerate(family, start=1):

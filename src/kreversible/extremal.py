@@ -9,22 +9,24 @@ expected pattern: tau_max = n - 3 and n/2 extremal trees for even n,
 and their negations, replayed through run_trajectory; for one tree,
 max_transient_search replays every start it returns.
 
-Trees are swept in chunks of same-size trees (tables.sweep_chunk). The main
-process hands out chunks of canonical level sequences; the process that
-searches a chunk (_search, in a pool worker or in-process for one worker)
-builds each tree, sweeps the trees the ledger does not hold and makes their
-ledger lines. Codes are computed where they are read: a tree's canonical code
-(SearchResult.tree_code) by a resume's skip check, whose code the result
-keeps, by a ledger line or by the report; orbit codes when the report is read.
-A one-worker search changes no module state, so searches in separate threads
-of one process do not interfere. The main process keeps the trees at the
-highest tau_max and writes the lines it receives; results are merged by
-canonical code, so reports are byte-identical regardless of worker count.
+Trees are swept in chunks of same-size trees (tables.sweep_chunk). A tree is
+identified in a run by its canonical level sequence. The main process
+enumerates them, passes over those the ledger holds and hands out chunks of
+the rest; the process that searches a chunk (_search, in a pool worker or
+in-process for one worker) gets nothing but its task, builds each tree,
+sweeps it and makes its ledger line. A search changes no module state, so
+searches in separate threads of one process do not interfere. Codes are
+computed where they are read: a tree's canonical code (SearchResult.tree_code)
+by a ledger line, by the load check of a line or by the report; orbit codes
+when the report is read. The main process keeps the trees at the highest
+tau_max and writes the lines it receives; results are merged by canonical
+code, so reports are byte-identical regardless of worker count.
 An append-only JSONL checkpoint ledger makes long runs resumable. A resume
-reads it a line at a time and keeps a loaded tree by the same rule as a swept
-one, so the main process holds only the loaded codes, which the search skips,
-and the trees at the highest tau_max. A final line torn by a kill mid-write
-is dropped and truncated away before new results are appended.
+reads it a line at a time, reads each line's level sequence off its edges and
+keeps a loaded tree by the same rule as a swept one, so the main process holds
+only the loaded level sequences and the trees at the highest tau_max. A final
+line torn by a kill mid-write is dropped and truncated away before new results
+are appended.
 
 generate_extremal_family builds the known extremal family directly, without
 searching; cross_validate_generator checks it against the search's report.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Collection, KeysView
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -48,7 +50,7 @@ from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, _one_based, is_tree
 from .tables import SweepResult, chunk_size, sweep, sweep_chunk
-from .trees import _graph_from_levels, canonical_code, free_tree_levels
+from .trees import _graph_from_levels, _levels_from_graph, canonical_code, free_tree_levels
 
 DEFAULT_EXHAUSTIVE_LIMIT = 16
 # chunks per pool message; a chunk's tables fill CHUNK_TABLE_BYTES at any n,
@@ -153,47 +155,23 @@ def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
     return SearchResult(tree, k, tau_max, tuple(starts))
 
 
-_skip: frozenset[str] = frozenset()  # a pool worker's copy of the loaded ledger's codes
-
-
-def _start_worker(codes: frozenset[str]) -> None:
-    """Pool initializer. Besides the codes to skip, it frees one large
-    array, never touched: glibc raises its mmap threshold to the size of a
-    freed mapped block, and its heap-trim threshold to twice that, so the
-    sweep's arrays are then reused from the heap. Without it, each message
-    boundary lets the heap be trimmed, and at n = 16 the next sweeps fault
-    their pages in again."""
-    global _skip
-    _skip = codes
+def _start_worker() -> None:
+    """Pool initializer. It frees one large array, never touched: glibc
+    raises its mmap threshold to the size of a freed mapped block, and its
+    heap-trim threshold to twice that, so the sweep's arrays are then reused
+    from the heap. Without it, each message boundary lets the heap be
+    trimmed, and at n = 16 the next sweeps fault their pages in again."""
     np.empty(16 << 20, dtype=np.uint8)
 
 
-def _search(
-    task: tuple[tuple[bytes, ...], int, bool], skip: frozenset[str] = frozenset()
-) -> list[tuple[SearchResult, str | None]]:
+def _search(task: tuple[tuple[bytes, ...], int, bool]) -> list[tuple[SearchResult, str | None]]:
     """Step 1 for a chunk of same-n trees, in scope by construction, given as
-    level sequences: each tree's Graph, a sweep of those whose codes are not in
-    `skip` (coded only if it is non-empty; results keep the codes), and each
-    result, in order, with its ledger line if lines are written (else None)."""
+    level sequences: each tree's Graph, its sweep, and each result, in order,
+    with its ledger line if lines are written (else None)."""
     chunk, k, write_lines = task
     trees = [_graph_from_levels(levels) for levels in chunk]
-    codes = [canonical_code(tree).hex() for tree in trees] if skip else []
-    if codes:  # a resume: sweep only the trees the ledger does not hold
-        trees = [tree for tree, code in zip(trees, codes) if code not in skip]
-        codes = [code for code in codes if code not in skip]
-        if not trees:
-            return []
     results = [_result(tree, k, res) for tree, res in zip(trees, sweep_chunk(trees, k))]
-    for result, code in zip(results, codes):
-        vars(result)["tree_code"] = code  # fills the cached_property: each tree is coded once
     return [(r, _ledger_line(r) if write_lines else None) for r in results]
-
-
-def _pool_search(
-    task: tuple[tuple[bytes, ...], int, bool],
-) -> list[tuple[SearchResult, str | None]]:
-    """The pool's entry point: _search, skipping the codes _start_worker set."""
-    return _search(task, _skip)
 
 
 def _replay(result: SearchResult, runs: int | None = None, ledger: bool = False) -> None:
@@ -238,6 +216,11 @@ def max_transient_search(
     return result
 
 
+def _expected_tau_max(n: int) -> int:
+    """The claimed maximum transient of a tree on n vertices at k = 2."""
+    return n - 3
+
+
 def expected_tree_count(n: int) -> int:
     """The claimed number of extremal trees: n/2 (n even), (n-1)/2 - 1 (n odd)."""
     return n // 2 if n % 2 == 0 else (n - 1) // 2 - 1
@@ -266,7 +249,7 @@ class ConjectureReport:
 
     @property
     def expected_tau_max(self) -> int:
-        return self.n - 3
+        return _expected_tau_max(self.n)
 
     @property
     def tree_count(self) -> int:
@@ -340,19 +323,21 @@ def _json_int(value) -> int:
 
 def _load_checkpoint(
     ledger: BinaryIO, n: int, k: int, keep: Callable[[SearchResult], None]
-) -> frozenset[str]:
+) -> KeysView[bytes]:
     """Read a ledger opened for appending, a line at a time, hand each loaded
-    result to `keep` and return the loaded codes, the trees a resume skips.
+    result to `keep` and return the loaded level sequences, the trees a resume
+    skips.
 
     A final line without its terminating newline is a mid-write kill: it is
     dropped (that tree is recomputed) and truncated away, so appended lines
     never concatenate onto the torn fragment. Corruption anywhere else raises
     ParseError, and so does a line whose code is not the canonical code of its
-    edges, repeats an earlier line's code, whose starts are not odd and
-    strictly increasing (vertex 1 at +1, each start once), or whose first
-    start does not replay to its stored (tau_max, period).
+    edges, whose edges are not _graph_from_levels of a sequence that
+    free_tree_levels(n) yields, that repeats an earlier line's tree, whose
+    starts are not odd and strictly increasing (vertex 1 at +1, each start
+    once), or whose first start does not replay to its stored (tau_max, period).
     """
-    codes: set[str] = set()
+    loaded: dict[bytes, int] = {}  # level sequence -> line number
     valid_end = ledger.seek(0)  # "a+b" opens at the end of the file
     for index, line_bytes in enumerate(ledger):
         if not line_bytes.endswith(b"\n"):
@@ -382,17 +367,25 @@ def _load_checkpoint(
             actual = result.tree_code  # a non-tree raises ValueError here
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"checkpoint line {index + 1} is malformed ({exc!r})") from None
-        if code != actual:  # a wrong code would skip, and so drop, another tree
+        if code != actual:  # a line must name the tree it holds
             raise ParseError(
                 f"checkpoint line {index + 1} has code {code}, but its edges have code {actual}"
             )
-        if code in codes:  # the program writes each tree once
+        # a tree is skipped by its level sequence: one labelled otherwise
+        # would be swept again and counted twice
+        levels = _levels_from_graph(tree)
+        if _graph_from_levels(levels).edges != tree.edges:
+            raise ParseError(f"checkpoint line {index + 1} labels its tree unlike the enumeration")
+        if levels in loaded:  # the program writes each tree once
             raise ParseError(f"checkpoint line {index + 1} repeats tree {code} of an earlier line")
-        codes.add(code)
+        loaded[levels] = index + 1
         _replay(result, runs=1, ledger=True)  # a line that over- or understates its tree
         keep(result)
+    if unknown := loaded.keys() - map(bytes, free_tree_levels(n)):
+        line = min(map(loaded.get, unknown))
+        raise ParseError(f"checkpoint line {line} labels its tree unlike the enumeration")
     ledger.truncate(valid_end)
-    return frozenset(codes)
+    return loaded.keys()
 
 
 def verify_conjecture(
@@ -425,10 +418,11 @@ def verify_conjecture(
             extremal.append(result)
 
     with nullcontext() if checkpoint_path is None else open(checkpoint_path, "a+b") as ledger:
-        skip = frozenset() if ledger is None else _load_checkpoint(ledger, n, k, keep)
+        loaded: Collection[bytes] = () if ledger is None else _load_checkpoint(ledger, n, k, keep)
         # level sequences are taken from the generator as chunks are handed
-        # out, and the workers build the trees, their codes and ledger lines
-        levels = map(bytes, free_tree_levels(n))
+        # out, past those the ledger holds, and the searches build the trees,
+        # their codes and ledger lines
+        levels = (s for s in map(bytes, free_tree_levels(n)) if s not in loaded)
         size = chunk_size(n)
         chunks = iter(lambda: tuple(islice(levels, size)), ())
         tasks = ((chunk, k, ledger is not None) for chunk in chunks)
@@ -441,16 +435,16 @@ def verify_conjecture(
                     ledger.flush()
 
         if workers == 1:
-            collect(_search(task, skip) for task in tasks)
+            collect(map(_search, tasks))
         else:
-            with Pool(workers, initializer=_start_worker, initargs=(skip,)) as pool:
+            with Pool(workers, initializer=_start_worker) as pool:
                 # a message per chunk would cost more than a small chunk's
                 # sweep, so each worker takes a batch of chunks at a time
-                collect(pool.imap_unordered(_pool_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
+                collect(pool.imap_unordered(_search, tasks, chunksize=CHUNKS_PER_MESSAGE))
 
     extremal.sort(key=lambda s: s.tree_code)
     for result in extremal:  # only the reported trees meet the scalar engine
-        _replay(result, ledger=result.tree_code in skip)
+        _replay(result, ledger=_levels_from_graph(result.tree) in loaded)
     return ConjectureReport(n, k, tuple(extremal))
 
 
@@ -515,14 +509,14 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
     exceptions."""
     if report.k != 2:
         raise ValueError(f"the extremal family is claimed for k = 2, the report has k={report.k}")
-    n = report.n
+    n, expected = report.n, report.expected_tau_max
     family = generate_extremal_family(n)
     mismatches: list[str] = []
 
     for index, (tree, x) in enumerate(family, start=1):
         tau = run_trajectory(tree, x, 2).tau
-        if tau != n - 3:
-            mismatches.append(f"family tree {index} reaches tau={tau}, expected {n - 3}")
+        if tau != expected:
+            mismatches.append(f"family tree {index} reaches tau={tau}, expected {expected}")
     all_reach = not mismatches
 
     family_by_code: dict[str, tuple[Graph, Configuration]] = {}
@@ -559,7 +553,7 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
     verdict = "pass" if all_reach and codes_match and configs_match else "fail"
     return CrossValidation(
         n=n,
-        expected_tau=n - 3,
+        expected_tau=expected,
         all_reach_bound=all_reach,
         family_codes=family_codes,
         extremal_codes=extremal_codes,

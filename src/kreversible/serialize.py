@@ -17,6 +17,7 @@ from collections.abc import Iterable
 import json
 
 from .extremal import ExtremalRecord
+from .graphs import _one_based
 
 CSV_COLUMNS = ("tree_code", "edges", "config", "tau", "period")
 
@@ -26,7 +27,7 @@ def canonical_json(payload) -> str:
 
 
 def edges_to_text(edges: Iterable[tuple[int, int]]) -> str:
-    return ";".join(f"{u + 1}-{v + 1}" for u, v in edges)
+    return ";".join(f"{u}-{v}" for u, v in _one_based(edges))
 
 
 def records_to_csv(records: Iterable[ExtremalRecord]) -> str:

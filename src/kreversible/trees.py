@@ -156,6 +156,16 @@ def _graph_from_levels(levels: Sequence[int]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _levels_from_graph(g: Graph) -> bytes:
+    """The level sequence of a tree _graph_from_levels built, read off its
+    edges: each vertex's parent is its smallest neighbour. On any other
+    labelling of a tree, _graph_from_levels of the result is not g."""
+    levels = bytearray(g.n)
+    for v in range(1, g.n):
+        levels[v] = levels[g.adjacency[v][0]] + 1
+    return bytes(levels)
+
+
 def free_tree_levels(n: int) -> Iterator[list[int]]:
     """Yield the canonical level sequence of every unlabeled tree on n
     vertices, once each; _graph_from_levels turns one into its Graph."""

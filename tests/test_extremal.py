@@ -26,9 +26,15 @@ from kreversible import (
     verify_conjecture,
 )
 from kreversible import extremal, tables
+from kreversible.cli import main
 from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
-from kreversible.trees import _graph_from_levels, canonical_code, free_tree_levels
+from kreversible.trees import (
+    _graph_from_levels,
+    _levels_from_graph,
+    canonical_code,
+    free_tree_levels,
+)
 from conftest import random_tree
 
 
@@ -256,6 +262,43 @@ def test_checkpoint_rejects_foreign_and_corrupt_ledgers(tmp_path):
         verify_conjecture(6, k=1, checkpoint_path=path)
 
 
+def test_checkpoint_rejects_a_tree_labelled_unlike_the_enumeration(monkeypatch, capsys, tmp_path):
+    # a resume skips a tree by the level sequence read off its line's edges;
+    # each line below names its tree's code under a labelling the enumeration
+    # never builds, and a skip by what it reads as would sweep a tree twice
+    path = tmp_path / "ledger.jsonl"
+    verify_conjecture(6, checkpoint_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    reversed_labels = [(6 - u, 6 - v) for u, v in json.loads(lines[1])["edges"]]  # v -> 7 - v
+    # line 2's tree again, read as line 3's sequence: skipped by it, line 3's tree would be dropped
+    reads_as_line_3 = [(0, 1), (0, 5), (1, 2), (1, 3), (4, 5)]
+    assert _levels_from_graph(Graph.from_edges(6, reads_as_line_3)) == bytes(
+        list(free_tree_levels(6))[2]
+    )
+    codes = [json.loads(line)["code"] for line in lines]
+    p6 = codes.index(canonical_code(path_graph(6)).hex())  # rebuilt from a sequence never yielded
+    cases = [(1, reversed_labels), (1, reads_as_line_3), (p6, [(i, i + 1) for i in range(5)])]
+
+    def no_sweep(graphs, k):
+        raise AssertionError("a rejected ledger started a sweep")
+
+    monkeypatch.setattr(extremal, "sweep_chunk", no_sweep)
+    for index, edges in cases:
+        edited = lines.copy()
+        result = max_transient_search(Graph.from_edges(6, edges), 2)
+        edited[index] = extremal._ledger_line(result) + "\n"
+        assert json.loads(edited[index])["code"] == codes[index]
+        text = "".join(edited) + lines[2][:40]  # and a torn tail, which stays
+        path.write_text(text)
+        message = f"checkpoint line {index + 1} labels its tree unlike the enumeration"
+        with pytest.raises(ParseError, match=message):
+            verify_conjecture(6, checkpoint_path=path)
+        assert path.read_text() == text
+        assert main(["conjecture", "--n", "6", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert path.read_text() == text
+
+
 # sha256 of the n = 6 ledger's lines, sorted, each ending in a newline
 LEDGER_N6_SHA256 = "69754efb824eba51cf6262e441b510dbc9ffbc0dddad3305dca1f001960f9c51"
 LEDGER_N6_STAR = (
@@ -480,14 +523,14 @@ def test_report_json_shape():
 def test_pool_worker_entrypoint_is_importable():
     # the pool path pickles its entry point by qualified name; a task is a
     # chunk of level sequences as bytes, k, and whether to return ledger lines
-    from kreversible.extremal import _pool_search
+    from kreversible.extremal import _search
 
-    assert pickle.loads(pickle.dumps(_pool_search)) is _pool_search
+    assert pickle.loads(pickle.dumps(_search)) is _search
     chunk = (bytes(range(5)), *map(bytes, free_tree_levels(5)))  # a 5-path rooted at an end first
     trees = [_graph_from_levels(levels) for levels in chunk]
     assert trees[0] == path_graph(5)
     for write_lines in (False, True):
-        out = _pool_search(pickle.loads(pickle.dumps((chunk, 2, write_lines))))
+        out = _search(pickle.loads(pickle.dumps((chunk, 2, write_lines))))
         assert all(isinstance(r, SearchResult) for r, _ in out)
         assert [(r.tree, r.tree_code) for r, _ in out] == [
             (tree, canonical_code(tree).hex()) for tree in trees
@@ -495,15 +538,11 @@ def test_pool_worker_entrypoint_is_importable():
         lines = [extremal._ledger_line(r) if write_lines else None for r, _ in out]
         assert [line for _, line in out] == lines
     assert out[0][0].tau_max == 2
-    # outside a pool worker the skip set is an argument
-    skip = frozenset({out[-1][0].tree_code})
-    kept = [r for r, _ in extremal._search((chunk, 2, False), skip)]
-    assert kept == [r for r, _ in out if r.tree_code not in skip]
 
 
 def test_canonical_code_once_per_enumerated_tree(monkeypatch, tmp_path):
-    # a tree is coded where its code is read: a reported tree, a ledger line,
-    # and on a resume the skip check, whose code the swept tree's result keeps
+    # a tree is coded where its code is read: a reported tree, a ledger line
+    # and a loaded line's check; a resume skips by level sequence, uncoded
     calls = []
     real = extremal.canonical_code
 
@@ -526,8 +565,8 @@ def test_canonical_code_once_per_enumerated_tree(monkeypatch, tmp_path):
     assert tree_codes(checkpoint_path=path) == trees == 47
     kept = path.read_text().splitlines(keepends=True)[::2]
     path.write_text("".join(kept))
-    # each loaded line once, and each enumerated tree once in the skip check
-    assert tree_codes(checkpoint_path=path) <= trees + len(kept) == 71
+    # each loaded line once, and each swept tree once for its ledger line
+    assert tree_codes(checkpoint_path=path) == trees == 47
 
 
 # sha256 of the n = 9 ledger's lines, sorted, each ending in a newline; captured from an

@@ -9,7 +9,13 @@ import networkx as nx
 import pytest
 
 from kreversible import Graph, canonical_code, enumerate_free_trees, is_tree
-from kreversible.trees import _bfs_order, _centers_from_adjacency
+from kreversible.trees import (
+    _bfs_order,
+    _centers_from_adjacency,
+    _graph_from_levels,
+    _levels_from_graph,
+    free_tree_levels,
+)
 
 from conftest import canonical_key, degree_ordered_sequences, prufer_to_edges, random_tree, relabel
 
@@ -90,6 +96,14 @@ def test_enumerate_yields_valid_distinct_trees():
         assert len(set(codes)) == len(codes)
     with pytest.raises(ValueError):
         next(enumerate_free_trees(0))
+
+
+def test_levels_read_off_the_trees_they_build():
+    # a resume identifies a ledger line's tree by the level sequence read off
+    # its edges, which must invert _graph_from_levels on every enumerated tree
+    for n in range(1, 13):
+        for levels in free_tree_levels(n):
+            assert _levels_from_graph(_graph_from_levels(levels)) == bytes(levels)
 
 
 def free_tree_counts(limit: int) -> list[int]:
