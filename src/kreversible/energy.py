@@ -57,21 +57,6 @@ class EnergyBreakdown:
     def s2(self) -> VertexSet:  # the complement of S1
         return frozenset(range(len(self.op_now))) - self.s1
 
-    def to_json_dict(self) -> dict:
-        # external reports are 1-based
-        return {
-            "op_now": list(self.op_now),
-            "op_next": list(self.op_next),
-            "s1": sorted(v + 1 for v in self.s1),
-            "s2": sorted(v + 1 for v in self.s2),
-            "energy": self.energy,
-            "energy_aux": self.energy_aux,
-            "a_size": self.a_size,
-            "b_size": self.b_size,
-            "c_size": self.c_size,
-            "per_vertex_delta": list(self.per_vertex_delta),
-        }
-
 
 def delta_energy_breakdown(g: Graph, x: Configuration, k: int) -> EnergyBreakdown:
     """The energy bookkeeping of the transition x -> x(t+1).

@@ -50,7 +50,8 @@ from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, _one_based, is_tree
 from .tables import SweepResult, chunk_size, sweep, sweep_chunk
-from .trees import _graph_from_levels, _levels_from_graph, canonical_code, free_tree_levels
+from .trees import _edges_from_levels, _graph_from_levels, _levels_from_graph
+from .trees import canonical_code, free_tree_levels
 
 DEFAULT_EXHAUSTIVE_LIMIT = 16
 # chunks per pool message; a chunk's tables fill CHUNK_TABLE_BYTES at any n,
@@ -332,7 +333,7 @@ def _load_checkpoint(
     dropped (that tree is recomputed) and truncated away, so appended lines
     never concatenate onto the torn fragment. Corruption anywhere else raises
     ParseError, and so does a line whose code is not the canonical code of its
-    edges, whose edges are not _graph_from_levels of a sequence that
+    edges, whose edges are not _edges_from_levels of a sequence that
     free_tree_levels(n) yields, that repeats an earlier line's tree, whose
     starts are not odd and strictly increasing (vertex 1 at +1, each start
     once), or whose first start does not replay to its stored (tau_max, period).
@@ -374,7 +375,7 @@ def _load_checkpoint(
         # a tree is skipped by its level sequence: one labelled otherwise
         # would be swept again and counted twice
         levels = _levels_from_graph(tree)
-        if _graph_from_levels(levels).edges != tree.edges:
+        if tuple(sorted(_edges_from_levels(levels))) != tree.edges:
             raise ParseError(f"checkpoint line {index + 1} labels its tree unlike the enumeration")
         if levels in loaded:  # the program writes each tree once
             raise ParseError(f"checkpoint line {index + 1} repeats tree {code} of an earlier line")
@@ -497,10 +498,13 @@ class CrossValidation:
     codes_match: bool
     configs_match: bool
     mismatches: tuple[str, ...]
-    verdict: str
+
+    @property
+    def verdict(self) -> str:  # every failed check leaves a mismatch
+        return "fail" if self.mismatches else "pass"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
@@ -550,7 +554,6 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
                 f"tree {code} has extremal configurations outside the family orbit"
             )
 
-    verdict = "pass" if all_reach and codes_match and configs_match else "fail"
     return CrossValidation(
         n=n,
         expected_tau=expected,
@@ -560,5 +563,4 @@ def cross_validate_generator(report: ConjectureReport) -> CrossValidation:
         codes_match=codes_match,
         configs_match=configs_match,
         mismatches=tuple(mismatches),
-        verdict=verdict,
     )

@@ -83,7 +83,7 @@ class Graph:
         return cls(
             n=n,
             edges=tuple(normalized),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
+            adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
             degrees=tuple(len(nbrs) for nbrs in adjacency),
             neighbor_masks=tuple(masks),
         )

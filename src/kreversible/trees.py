@@ -7,8 +7,10 @@ canonical under color-preserving isomorphism, which is how configuration
 orbits on a tree are counted.
 
 free_tree_levels generates every unlabeled tree exactly once, as its
-canonical level sequence, by the successor method; enumerate_free_trees
-builds the Graph of each.
+canonical level sequence, by the successor method of Wright, Richmond,
+Odlyzko & McKay (1986), which passes over invalid rootings in one jump;
+_edges_from_levels states the labelling a sequence gives its tree, and
+enumerate_free_trees builds the Graph of each.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _rooted_code(
     order, parent = _bfs_order(n, adjacency, root)
     code: list[bytes] = [b""] * n
     for v in reversed(order):
-        children = sorted(code[w] for w in adjacency[v] if parent[w] == v and w != v)
+        children = sorted(code[w] for w in adjacency[v] if parent[w] == v)
         open_byte = _OPEN[0] if colors is None else _OPEN[colors[v] & 1]
         code[v] = open_byte + b"".join(children) + _CLOSE
     return code[root]
@@ -92,8 +94,11 @@ def canonical_code(g: Graph, colors: Sequence[int] | None = None) -> bytes:
 # A rooted tree on n vertices is encoded by its depth sequence in canonical
 # (greatest-first) DFS order, levels[0] = 0. The rooted successor steps to
 # the next-smaller canonical sequence; free-tree canonicity additionally
-# requires the first root subtree to be no "heavier" than the rest, and
-# invalid rootings are jumped over rather than filtered one by one.
+# requires the first root subtree to be no "heavier" than the rest. As
+# published, one jump passes over every invalid rooting at once: the rooted
+# successor at the first subtree's last vertex, with the suffix reset to a
+# path when that vertex was deeper than level 2. The jump's result is
+# checked, and an invalid one raises InternalInvariantError.
 # ---------------------------------------------------------------------------
 
 
@@ -122,44 +127,47 @@ def _split_levels(levels: list[int]) -> tuple[list[int], list[int]]:
     return [lv - 1 for lv in levels[1:m]], [0] + levels[m:]
 
 
+def _is_free_canonical(levels: list[int]) -> bool:
+    """The free-tree condition on a rooted sequence: its first root subtree
+    is shorter than the rest of the tree or, as tall, has fewer vertices or,
+    as large, a sequence no greater."""
+    left, rest = _split_levels(levels)
+    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
+
+
 def _free_tree_fixup(levels: list[int]) -> list[int]:
-    for _ in range(8 * len(levels) + 8):
-        left, rest = _split_levels(levels)
-        height_left, height_rest = max(left), max(rest)
-        if height_rest > height_left:
-            return levels
-        if height_rest == height_left and (
-            len(left) < len(rest) or (len(left) == len(rest) and left <= rest)
-        ):
-            return levels
-        p = len(left)
-        was_deep = levels[p] > 2
-        nxt = _rooted_successor(levels, p)
-        if nxt is None:
-            raise InternalInvariantError("level-sequence successor underflow")
-        levels = nxt
-        if was_deep:
-            new_left, _ = _split_levels(levels)
-            suffix = list(range(1, max(new_left) + 2))
-            levels[-len(suffix) :] = suffix
-    raise InternalInvariantError("free-tree fixup did not converge")
+    if _is_free_canonical(levels):
+        return levels
+    p = len(_split_levels(levels)[0])
+    nxt = _rooted_successor(levels, p)  # p >= 1, so a successor exists
+    if levels[p] > 2:
+        height = max(_split_levels(nxt)[0])
+        nxt[-height - 1 :] = range(1, height + 2)
+    if not _is_free_canonical(nxt):
+        raise InternalInvariantError(f"free-tree jump from {levels} left invalid {nxt}")
+    return nxt
 
 
-def _graph_from_levels(levels: Sequence[int]) -> Graph:
-    n = len(levels)
+def _edges_from_levels(levels: Sequence[int]) -> list[Edge]:
+    """The labelling of a tree built from its level sequence: vertex i's
+    parent is the last vertex before it one level up."""
     edges: list[Edge] = []
     last_at_level = [0] * (max(levels) + 1)
-    for i in range(1, n):
+    for i in range(1, len(levels)):
         lv = levels[i]
         edges.append((last_at_level[lv - 1], i))
         last_at_level[lv] = i
-    return Graph.from_edges(n, edges)
+    return edges
+
+
+def _graph_from_levels(levels: Sequence[int]) -> Graph:
+    return Graph.from_edges(len(levels), _edges_from_levels(levels))
 
 
 def _levels_from_graph(g: Graph) -> bytes:
-    """The level sequence of a tree _graph_from_levels built, read off its
-    edges: each vertex's parent is its smallest neighbour. On any other
-    labelling of a tree, _graph_from_levels of the result is not g."""
+    """The level sequence of a tree labelled by _edges_from_levels, read off
+    its edges: each vertex's parent is its smallest neighbour. On any other
+    labelling of a tree, _edges_from_levels of the result is not g's edges."""
     levels = bytearray(g.n)
     for v in range(1, g.n):
         levels[v] = levels[g.adjacency[v][0]] + 1

@@ -8,6 +8,7 @@ import pytest
 
 from kreversible import (
     Configuration,
+    EnergyBreakdown,
     InternalInvariantError,
     bound_report,
     config_energy,
@@ -120,13 +121,6 @@ def test_breakdown_random_consistency():
         assert not set(b.s1) & set(b.s2)
 
 
-def test_breakdown_json_is_one_based(p3):
-    d = delta_energy_breakdown(p3, parse_config("+-+", 3), 2).to_json_dict()
-    assert d["s1"] == [2]
-    assert d["s2"] == [1, 3]
-    assert d["per_vertex_delta"] == [0, 4, 0]
-
-
 def test_bound_report_top_tree(top_tree_n8):
     r = bound_report(top_tree_n8, 2)
     assert r.n == 8
@@ -219,9 +213,22 @@ def test_single_vertex_energy():
     assert split(g, x, 1) == (frozenset(), frozenset({0}))
 
 
+def breakdown_fields(b: EnergyBreakdown) -> dict:
+    """A breakdown's fields and its S2, as the plain lists and ints that
+    reference_breakdown gives."""
+    return {
+        **dataclasses.asdict(b),
+        "op_now": list(b.op_now),
+        "op_next": list(b.op_next),
+        "s1": sorted(b.s1),
+        "s2": sorted(b.s2),
+        "per_vertex_delta": list(b.per_vertex_delta),
+    }
+
+
 def reference_breakdown(n: int, edges, states: list[int], k: int) -> dict:
-    """to_json_dict() of the breakdown, from the definitions: adjacency lists,
-    +/-1 states and plain sets, with no bit masks."""
+    """breakdown_fields of the breakdown, from the definitions: adjacency
+    lists, +/-1 states and plain sets, with no bit masks."""
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
@@ -244,8 +251,8 @@ def reference_breakdown(n: int, edges, states: list[int], k: int) -> dict:
     return {
         "op_now": op_now,
         "op_next": op_next,
-        "s1": sorted(v + 1 for v in s1),
-        "s2": sorted(v + 1 for v in s2),
+        "s1": sorted(s1),
+        "s2": sorted(s2),
         "energy": sum(side_term(v, op_now[v]) for v in range(n)),
         "energy_aux": sum(side_term(v, op_next[v]) for v in range(n)),
         "a_size": inside_s1,
@@ -270,7 +277,7 @@ def test_breakdown_matches_reference():
             for start in itertools.product((-1, 1), repeat=g.n):
                 x = Configuration.from_states(start)
                 expected = reference_breakdown(g.n, g.edges, list(start), k)
-                assert delta_energy_breakdown(g, x, k).to_json_dict() == expected
+                assert breakdown_fields(delta_energy_breakdown(g, x, k)) == expected
 
 
 def test_kernels_agree_above_the_crossover(monkeypatch):
@@ -291,7 +298,7 @@ def test_kernels_agree_above_the_crossover(monkeypatch):
             for s in walked.trace:
                 b = delta_energy_breakdown(g, s.config, k)
                 expected = reference_breakdown(g.n, g.edges, list(s.config.states), k)
-                assert b.to_json_dict() == expected
+                assert breakdown_fields(b) == expected
                 scalars = (b.energy, b.energy_aux, b.a_size, b.b_size, b.c_size)
                 values = (*b.op_now, *b.op_next, *b.s1, *b.per_vertex_delta, *scalars)
                 assert {type(v) for v in values} == {int} and type(b.s1) is frozenset

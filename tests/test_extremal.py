@@ -569,6 +569,24 @@ def test_canonical_code_once_per_enumerated_tree(monkeypatch, tmp_path):
     assert tree_codes(checkpoint_path=path) == trees == 47
 
 
+def test_resume_builds_one_graph_per_loaded_line(monkeypatch, tmp_path):
+    # each line of a finished ledger is parsed into its Graph; the labelling
+    # check compares the line's edges with the edge builder's and builds none
+    path = tmp_path / "ledger.jsonl"
+    fresh = verify_conjecture(9, checkpoint_path=path).to_json_dict()
+    calls = []
+    real = Graph.from_edges.__func__
+
+    def counting(cls, n, edges):
+        calls.append(n)
+        return real(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    resumed = verify_conjecture(9, checkpoint_path=path).to_json_dict()
+    assert resumed == fresh
+    assert len(calls) == path.read_text().count("\n") == 47
+
+
 # sha256 of the n = 9 ledger's lines, sorted, each ending in a newline; captured from an
 # earlier writer that swept one tree at a time
 LEDGER_N9_SHA256 = "740cd74cc95c29a2ee31cc3b4c003021de402a0bceec2deb1c5b0e45726aff13"

@@ -116,4 +116,11 @@ def test_adjacency_consistency():
             assert g.degrees[v] == len(g.adjacency[v]) == g.neighbor_masks[v].bit_count()
             for w in g.adjacency[v]:
                 assert v in g.adjacency[w]
+            # strictly increasing: _levels_from_graph reads adjacency[v][0]
+            # as the smallest neighbour of v
+            assert all(a < b for a, b in zip(g.adjacency[v], g.adjacency[v][1:]))
         assert sum(g.degrees) == 2 * g.num_edges
+        # the same graph from its edges in any order and orientation
+        listed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(listed)
+        assert Graph.from_edges(g.n, listed) == g

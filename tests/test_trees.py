@@ -8,7 +8,8 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from kreversible import Graph, canonical_code, enumerate_free_trees, is_tree
+from kreversible import Graph, InternalInvariantError, canonical_code, enumerate_free_trees, is_tree
+from kreversible import trees
 from kreversible.trees import (
     _bfs_order,
     _centers_from_adjacency,
@@ -104,6 +105,24 @@ def test_levels_read_off_the_trees_they_build():
     for n in range(1, 13):
         for levels in free_tree_levels(n):
             assert _levels_from_graph(_graph_from_levels(levels)) == bytes(levels)
+
+
+def test_free_tree_fixup_checks_its_one_jump(monkeypatch):
+    # invalid rootings are passed over in one jump, whose result is checked:
+    # a jump that lands on another invalid rooting is a bug, not a retry
+    real = trees._rooted_successor
+    jumps = []
+
+    def to_the_path_rooted_at_an_end(levels, p=None):
+        if p is None:
+            return real(levels)
+        jumps.append(p)
+        return list(range(len(levels)))
+
+    monkeypatch.setattr(trees, "_rooted_successor", to_the_path_rooted_at_an_end)
+    with pytest.raises(InternalInvariantError, match=r"free-tree jump from \[0, 1, 2, 3, 1, 1\]"):
+        list(free_tree_levels(6))
+    assert jumps == [3]
 
 
 def free_tree_counts(limit: int) -> list[int]:
