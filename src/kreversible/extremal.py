@@ -49,7 +49,7 @@ import numpy as np
 from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, _one_based, is_tree
-from .tables import SweepResult, chunk_size, sweep, sweep_chunk
+from .tables import SweepResult, chunk_size, sweep_chunk
 from .trees import _edges_from_levels, _graph_from_levels, _levels_from_graph
 from .trees import canonical_code, free_tree_levels
 
@@ -137,23 +137,32 @@ class SearchResult:
         }
 
 
+def _transient_bound(plateaus: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The paper's bounds on the transient of a start on a tree, given the
+    plateau energies it ends at: E(x(tau)) + n - 1 and n(k+1) - 1, in int64."""
+    return np.minimum(plateaus + (n - 1), n * (k + 1) - 1)
+
+
 def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
     """Step 1 for one tree, given its sweep: every start is checked against
-    the transient bounds, and the starts attaining the maximum are kept."""
-    bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
-    over = np.flatnonzero(res.taus > bound)
-    if over.size:
-        i = over[0]
-        raise invariant_violation(
-            tree, k, Configuration(tree.n, 2 * int(i) + 1),
-            f"expected tau <= {bound[i]} by the transient bounds, "
-            f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
-            tree=canonical_code(tree).hex(),
-        )
-    tau_max = int(res.taus.max())
-    attaining = np.flatnonzero(res.taus == tau_max)  # start j is 2j + 1
-    starts = zip((2 * attaining + 1).tolist(), res.periods[attaining].tolist())
-    return SearchResult(tree, k, tau_max, tuple(starts))
+    the transient bounds, and the starts attaining the maximum are kept. The
+    check runs on the loop's states (SweepResult.loop_outcomes); only if one
+    passes its bound are the per-start arrays read, to name the first start
+    that does."""
+    taus, plateaus = res.loop_outcomes
+    if np.any(taus > _transient_bound(plateaus, tree.n, k)):
+        bound = _transient_bound(res.plateau_energies, tree.n, k)
+        over = np.flatnonzero(res.taus > bound)
+        if over.size:
+            i = over[0]
+            raise invariant_violation(
+                tree, k, Configuration(tree.n, 2 * int(i) + 1),
+                f"expected tau <= {bound[i]} by the transient bounds, "
+                f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
+                tree=canonical_code(tree).hex(),
+            )
+    starts = zip(res.attaining.tolist(), res.attaining_periods.tolist())
+    return SearchResult(tree, k, res.tau_max, tuple(starts))
 
 
 def _start_worker() -> None:
@@ -213,7 +222,7 @@ def max_transient_search(
         raise ValueError("extremal search is scoped to trees")
     if tree.n > limit:
         raise ValueError(f"n={tree.n} above the exhaustive limit {limit}")
-    _replay(result := _result(tree, k, sweep(tree, k)))
+    _replay(result := _result(tree, k, sweep_chunk([tree], k)[0]))
     return result
 
 

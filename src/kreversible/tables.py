@@ -33,9 +33,9 @@ the plateau energies, the violation messages).
 The sweep takes a chunk of graphs with one vertex count and runs them in
 one loop over the chunk's tables, so numpy's per-call cost is paid once per
 chunk, not once per graph. A chunk holds as many graphs as fit
-CHUNK_TABLE_BYTES at a budget of 12 bytes per state (the tables and the
-results), but at least one, so from n = 16 on one graph alone passes that
-cap; sweep(g, k) is the chunk of one graph.
+CHUNK_TABLE_BYTES at a budget of 12 bytes per state, but at least one, so
+from n = 16 on one graph alone passes that cap; sweep(g, k) is the chunk of
+one graph.
 
 The loop runs on the first step's image, not on the starts. A start x off
 its cycle has tau(x) = 1 + tau(x(1)) and ends on x(1)'s cycle, with its
@@ -43,14 +43,22 @@ period and plateau energy. A start on its cycle, x(2) = x(0), has tau 0, and
 x(1) is on the same cycle, a fixed point iff x is, and at the same energy,
 since the monotonicity check (made first) holds energy constant on a cycle.
 The x(1), read from succ[1::2], are marked in a boolean table and taken with
-flatnonzero, typically under half the starts. The loop runs on these
-distinct states, and each start's tau, period and plateau are then gathered
-from the small per-state arrays through a rank table of the states; the
-starts on their cycle, the odd successors of the states with tau 0, are then
-set to tau 0. If the distinct x(1) are more than half the starts, as when
-k > max degree makes succ the identity, the loop runs on the starts
-themselves, where the marks and ranks would cost more than they save. Both
-loops carry traffic at k = 2.
+flatnonzero, typically under half the starts, and the loop runs on these
+distinct states. If they are more than half the starts, as when k > max
+degree makes succ the identity, the loop runs on the starts themselves,
+where the marks and the selection below would cost more than they save.
+Both loops carry traffic at k = 2.
+
+The result is read off the loop's states: the only array over the starts
+that it builds is one boolean gather. Per graph, let T be the largest tau of
+its loop states. If T > 0, tau_max = T + 1, and the starts attaining it are
+those whose x(1) has tau T: those states are marked in a boolean table,
+which is gathered at succ[1::2]. If T = 0, every x(1) is on its cycle; the
+starts on their cycle (the odd successors of the x(1), since succ is an
+involution on a cycle) have tau 0 and the others tau 1. When the loop ran
+on the starts, the starts at T attain it. The attaining starts' periods are
+their x(1)'s, found in the sorted loop states. A SweepResult derives the
+per-start arrays from the same loop result only when they are read.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -70,9 +78,17 @@ SweepResult.start_bits derives.
 Memory, in bytes per state of the chunk: 6 for the tables (4 successor, 2
 energy); 1 for the mark table, freed before the loop; about 15 for the
 loop's arrays when it runs on the starts (30 per start), at most half that
-when it runs on the distinct x(1); then 4 for the rank table and 2 for each
-start's rank; and 5.5 for the results, 11 bytes a start (see SweepResult).
-The tables are freed before the results are gathered through the rank.
+when it runs on the distinct x(1). The energy table is freed once the loop
+is done. Each loop state then keeps 15 bytes: the state, tau, period and
+plateau energy. That is at most 7.5 bytes a state of the chunk on the
+starts, and under 4 on the distinct x(1). The selection adds 1 byte a state
+for its marks and 0.5 for its flags, and for a moment 4 for its gather at
+succ[1::2], since np.take copies its indices to intp. The chunk budget of 12
+bytes a state still stands: what a chunk keeps once its loop is done, the
+successor table and its loop states, is at most 11.5 bytes a state, and the
+loop itself passed the budget before as it does now. So chunks hold the
+graphs they held before. Reading a result's per-start arrays adds 11 bytes
+a start (see SweepResult).
 
 Invariants are checked as the sweep runs, for each graph of a chunk — energy
 monotone over all 2^n transitions, transient within the graph's own proven
@@ -95,7 +111,8 @@ configuration, which one `kreversible simulate` call replays.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,24 +182,132 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Per-start outcome of an exhaustive sweep; entry j is start 2j + 1.
+class _Loop:
+    """What the lockstep loop leaves for a chunk. states are the states it
+    ran on, increasing: the distinct x(1) of the starts if deduped, else the
+    starts themselves. tau, periods and plateaus are theirs, and graph i's
+    are at first[i]:first[i + 1]. succ is the chunk's successor table, whose
+    odd entries succ[1::2] are the starts' x(1)."""
 
-    taus is int16: tau is within the graph's budget n(max_degree+1)+1, at most
-    25 * 25 + 1 = 626 up to MAX_TABLE_VERTICES. periods is int8: by the paper
-    the period is 1 or 2. plateau_energies is int64: it carries n(k - n) for
-    k > n. All three are signed, so arithmetic such as taus - 1 cannot wrap.
+    n: int
+    succ: np.ndarray
+    deduped: bool
+    states: np.ndarray
+    first: np.ndarray
+    tau: np.ndarray
+    periods: np.ndarray
+    plateaus: np.ndarray
+
+    def part(self, i: int) -> slice:
+        return slice(int(self.first[i]), int(self.first[i + 1]))
+
+    def select(self) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
+        """Per graph: tau_max, the bits of the starts attaining it, increasing,
+        and their periods, found on the loop's states."""
+        n, succ, states, tau, first = self.n, self.succ, self.states, self.tau, self.first
+        half = 1 << (n - 1)
+        top = np.maximum.reduceat(tau, first[:-1])  # T; each graph has a state
+        counts = np.diff(first)
+        at_top = tau == top.repeat(counts)
+        if self.deduped:
+            # a start off its cycle has 1 + its x(1)'s tau, so for T > 0 the
+            # attaining starts are those whose x(1) is at T
+            hit = np.zeros(len(succ), dtype=bool)
+            hit[states[at_top]] = True
+            attain = hit.take(succ[1::2])  # start j of graph i is at i * half + j
+            del hit
+            tau_max = top + 1
+            flat = top == 0
+            if np.any(flat):
+                # every x(1) is on its cycle: the starts on their cycle (the
+                # odd successors of the x(1), as in expand) have tau 0, the
+                # others tau 1
+                partners = succ.take(states[flat.repeat(counts)])
+                on_cycle = partners[partners & 1 == 1] >> 1
+                graph = on_cycle >> (n - 1)
+                moved = flat & (np.bincount(graph, minlength=len(top)) < half)
+                attain[on_cycle[moved[graph]]] = False
+                tau_max[flat] = moved[flat]
+            picked = np.flatnonzero(attain)
+            # the attaining starts' periods are their x(1)'s
+            periods = self.periods.take(np.searchsorted(states, succ[2 * picked + 1]))
+        else:  # the loop ran on the starts
+            tau_max, picked = top, np.flatnonzero(at_top)
+            periods = self.periods.take(picked)
+        cuts = np.searchsorted(picked, np.arange(1, len(top)) * half)
+        bits = 2 * (picked & (half - 1)) + 1
+        return tau_max.tolist(), np.split(bits, cuts), np.split(periods, cuts)
+
+    def expand(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tau, period and plateau energy of each start of graph i."""
+        part = self.part(i)
+        tau, periods, plateaus = self.tau[part], self.periods[part], self.plateaus[part]
+        if not self.deduped:
+            return tau, periods, plateaus
+        n, states = self.n, self.states[part]
+        # each start's x(1), as an index into states
+        rank = np.searchsorted(states, self.succ[(i << n) + 1 : (i + 1) << n : 2])
+        taus = (tau + 1).take(rank)
+        # a start x has x(2) = x(0) iff its x(1) has tau 0 and x is the
+        # successor of its x(1); and every odd successor of a state with tau 0
+        # is such a start, start j of graph i being the state i << n | 2j + 1
+        partners = self.succ.take(states[tau == 0])
+        taus[(partners[partners & 1 == 1] & np.uint32((1 << n) - 1)) >> 1] = 0
+        return taus, periods.take(rank), plateaus.take(rank)
+
+
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Outcome of an exhaustive sweep of one graph over its starts, the
+    configurations with vertex 0 at +1. tau_max is the largest transient of
+    a start; attaining holds the bits of the starts that reach it,
+    increasing, and attaining_periods their periods.
+
+    The per-start arrays are derived on first read from what the loop left;
+    entry j is start 2j + 1 (start_bits). taus is int16: tau is within the
+    graph's budget n(max_degree+1)+1, at most 25 * 25 + 1 = 626 up to
+    MAX_TABLE_VERTICES. periods is int8: by the paper the period is 1 or 2.
+    plateau_energies is int64: it carries n(k - n) for k > n. All three are
+    signed, so arithmetic such as taus - 1 cannot wrap.
     """
 
     n: int
     k: int
-    taus: np.ndarray
-    periods: np.ndarray
-    plateau_energies: np.ndarray
+    tau_max: int
+    attaining: np.ndarray
+    attaining_periods: np.ndarray
+    _loop: _Loop = field(repr=False)
+    _graph: int = field(repr=False)
 
     @property
     def start_bits(self) -> np.ndarray:
         return np.arange(1, 1 << self.n, 2, dtype=np.uint32)
+
+    @property
+    def loop_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, plateau energy) per state the loop ran on, tau counted from
+        the starts that step to it. A start off its cycle has its x(1)'s pair,
+        and a start on its cycle has tau 0 and its x(1)'s plateau energy: so
+        each start has a pair's plateau energy and at most its tau."""
+        loop = self._loop
+        part = loop.part(self._graph)
+        return loop.tau[part] + np.int16(loop.deduped), loop.plateaus[part]
+
+    @cached_property
+    def _per_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._loop.expand(self._graph)
+
+    @property
+    def taus(self) -> np.ndarray:
+        return self._per_start[0]
+
+    @property
+    def periods(self) -> np.ndarray:
+        return self._per_start[1]
+
+    @property
+    def plateau_energies(self) -> np.ndarray:
+        return self._per_start[2]
 
 
 def chunk_size(n: int) -> int:
@@ -223,8 +348,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         )
 
     budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
-    half = 1 << (n - 1)
-    # x(1) of each start; start j of graph i, i << n | j << 1 | 1, is at i * half + j
+    # x(1) of each start; start j of graph i, i << n | j << 1 | 1, is at i << (n - 1) | j
     x1 = succ[1::2]
     image = np.zeros(len(succ), dtype=bool)
     image[x1] = True
@@ -242,26 +366,18 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
 
     # per loop state: the period (1 iff x(tau) is a fixed point) and plateau energy
     periods = np.add(np.take(succ, cycle) != cycle, 1, dtype=np.int8)
-    plateaus = np.take(energy, cycle).astype(np.int64)  # _result adds n - 1
-    if offset:  # in place: k < n makes no further full-width pass
+    plateaus = np.take(energy, cycle).astype(np.int64)
+    if offset:
         plateaus += offset
-    if deduped:
-        rank = np.empty(len(succ), dtype=np.uint32)
-        rank[states] = np.arange(len(states), dtype=np.uint32)
-        rank = rank.take(x1)  # each start's x(1), as an index into states
-        # a start x has x(2) = x(0) iff its x(1) has tau 0 and x is the
-        # successor of its x(1); and every odd successor of a state with tau 0
-        # is such a start, at position x >> 1
-        partners = succ.take(states[tau == 0])
-        on_cycle = partners[partners & 1 == 1] >> 1
-    del succ, energy, cycle, x1, states  # free the tables before the gathers
-    if deduped:  # every other start takes one step to its x(1), then follows it
-        tau = (tau + 1).take(rank)
-        tau[on_cycle] = 0
-        periods, plateaus = periods.take(rank), plateaus.take(rank)
+    del energy, cycle
+    first = np.append(
+        np.searchsorted(states, np.arange(len(graphs), dtype=np.uint32) << np.uint32(n)),
+        len(states),
+    )
+    loop = _Loop(n, succ, deduped, states, first, tau, periods, plateaus)
     return [
-        SweepResult(n, k, tau[i : i + half], periods[i : i + half], plateaus[i : i + half])
-        for i in range(0, len(tau), half)
+        SweepResult(n, k, top, bits, starts_periods, loop, i)
+        for i, (top, bits, starts_periods) in enumerate(zip(*loop.select()))
     ]
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures: small graphs, the randomized trajectory suite, cached
 exhaustive reports, the acceptance-criteria summary printed at the end of
 the run, and the reference helpers the tests check the package against: the
-Prüfer-sequence oracle for tree enumeration and the brute-force maximum
-energy of a graph. The oracle decodes one Prüfer sequence per degree order,
-not all n^(n-2): 13,391 sequences for n = 2..9."""
+Prüfer-sequence oracle for tree enumeration, the brute-force maximum energy
+of a graph and the expand-then-select step 1 of the search. The oracle
+decodes one Prüfer sequence per degree order, not all n^(n-2): 13,391
+sequences for n = 2..9."""
 
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from kreversible import (
     state_tables,
     verify_conjecture,
 )
-from kreversible.trees import _bfs_order, _centers_from_adjacency
+from kreversible.errors import invariant_violation
+from kreversible.extremal import SearchResult
+from kreversible.trees import _bfs_order, _centers_from_adjacency, canonical_code
 
 # --- acceptance bookkeeping -------------------------------------------------
 
@@ -99,6 +102,30 @@ def max_energy(g: Graph, k: int) -> tuple[int, tuple[Configuration, ...]]:
     _, energy = state_tables(g, k)
     best = int(energy.max())
     return best, tuple(Configuration(g.n, int(bits)) for bits in np.flatnonzero(energy == best))
+
+
+# --- expand-then-select reference for the search's step 1 --------------------
+
+
+def reference_result(tree: Graph, k: int, res) -> SearchResult:
+    """extremal._result as it was before the search selected on the loop's
+    states: every start's tau, read from the sweep's per-start arrays, is
+    checked against the transient bounds, and the starts attaining the
+    maximum are kept."""
+    bound = np.minimum(res.plateau_energies + tree.n - 1, tree.n * (k + 1) - 1)
+    over = np.flatnonzero(res.taus > bound)
+    if over.size:
+        i = over[0]
+        raise invariant_violation(
+            tree, k, Configuration(tree.n, 2 * int(i) + 1),
+            f"expected tau <= {bound[i]} by the transient bounds, "
+            f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
+            tree=canonical_code(tree).hex(),
+        )
+    tau_max = int(res.taus.max())
+    attaining = np.flatnonzero(res.taus == tau_max)  # start j is 2j + 1
+    starts = zip((2 * attaining + 1).tolist(), res.periods[attaining].tolist())
+    return SearchResult(tree, k, tau_max, tuple(starts))
 
 
 # --- Prüfer-sequence oracle for tree enumeration (Prüfer 1918) ---------------

@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from kreversible import (
@@ -25,7 +26,7 @@ from kreversible import (
     run_trajectory,
     verify_conjecture,
 )
-from kreversible import extremal, tables
+from kreversible import extremal, sweep, tables
 from kreversible.cli import main
 from kreversible.extremal import ExtremalRecord, SearchResult
 from kreversible.serialize import CSV_COLUMNS, canonical_json, edges_to_text, records_to_csv
@@ -35,7 +36,7 @@ from kreversible.trees import (
     canonical_code,
     free_tree_levels,
 )
-from conftest import random_tree
+from conftest import random_connected_graph, random_tree, reference_result
 
 
 def path_graph(n: int) -> Graph:
@@ -282,10 +283,10 @@ def test_checkpoint_rejects_a_tree_labelled_unlike_the_enumeration(monkeypatch, 
     def no_sweep(graphs, k):
         raise AssertionError("a rejected ledger started a sweep")
 
+    results = [max_transient_search(Graph.from_edges(6, edges), 2) for _, edges in cases]
     monkeypatch.setattr(extremal, "sweep_chunk", no_sweep)
-    for index, edges in cases:
+    for (index, _), result in zip(cases, results):
         edited = lines.copy()
-        result = max_transient_search(Graph.from_edges(6, edges), 2)
         edited[index] = extremal._ledger_line(result) + "\n"
         assert json.loads(edited[index])["code"] == codes[index]
         text = "".join(edited) + lines[2][:40]  # and a torn tail, which stays
@@ -736,18 +737,170 @@ def test_replay_mismatch_names_tree_k_and_start(monkeypatch, top_tree_n8):
     assert "observed (6, 1)" in message
 
 
+def low_plateau_tables():
+    """P5 tables in which every state below 16 climbs by 2 to the fixed
+    point 15 and every other state steps to 15, energies rising on the way
+    to a plateau of -5: start +---- takes 7 steps, above its bound of
+    -5 + n - 1 = -1."""
+    succ = np.array([min(x + 2, 15) if x < 16 else 15 for x in range(32)], dtype=np.uint32)
+    energy = np.array([x - 20 if x < 16 else -30 for x in range(32)], dtype=np.int16)
+    return succ, energy
+
+
+LOW_PLATEAU_VIOLATION = (
+    "k=2 start +----: expected tau <= -1 by the transient bounds, "
+    "observed (tau, period) = (7, 1)"
+)
+
+
 def test_bound_violation_names_tree_k_and_start(monkeypatch):
-    real = extremal.sweep
-
-    def inflated(g, k):
-        res = real(g, k)
-        return dataclasses.replace(res, taus=res.taus + 100)
-
-    monkeypatch.setattr(extremal, "sweep", inflated)
+    # the starts' x(1) are 7 states, so the loop runs on them
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: low_plateau_tables())
     with pytest.raises(InternalInvariantError) as exc:
         max_transient_search(path_graph(5), 2)
-    message = str(exc.value)
-    assert canonical_code(path_graph(5)).hex() in message
-    assert "k=2 start +----:" in message  # the first swept start
-    assert "expected tau <= " in message
-    assert "observed (tau, period) = (100, 1)" in message
+    assert str(exc.value) == (
+        "tree 02020201010202010101 edges=[[1, 2], [2, 3], [3, 4], [4, 5]] "
+        + LOW_PLATEAU_VIOLATION
+    )
+
+
+def test_bound_violation_in_a_chunk_names_its_tree(monkeypatch):
+    # the same tables for the path among the n = 5 trees, the others' real:
+    # the chunk's x(1) are more than half its starts, so the loop runs on
+    # the starts; the conjecture search names the path as it labels it
+    real = tables.chunk_tables
+    path_code = canonical_code(path_graph(5)).hex()
+
+    def corrupt_path(graphs, k):
+        succ, energy = real(graphs, k)
+        i = [canonical_code(g).hex() for g in graphs].index(path_code)
+        part = slice(i << 5, (i + 1) << 5)
+        path_succ, energy[part] = low_plateau_tables()
+        succ[part] = path_succ + np.uint32(i << 5)
+        return succ, energy
+
+    monkeypatch.setattr(tables, "chunk_tables", corrupt_path)
+    expected = (
+        "tree 02020201010202010101 edges=[[1, 2], [1, 4], [2, 3], [4, 5]] "
+        + LOW_PLATEAU_VIOLATION
+    )
+    chunk = tuple(map(bytes, free_tree_levels(5)))
+    for levels in (chunk, chunk[::-1]):  # the path first, then last
+        with pytest.raises(InternalInvariantError) as exc:
+            extremal._search((levels, 2, False))
+        assert str(exc.value) == expected
+    with pytest.raises(InternalInvariantError) as exc:
+        verify_conjecture(5)
+    assert str(exc.value) == expected
+
+
+def outcome(tree, k, res, result):
+    """result(tree, k, res), or the message of the invariant error it raises."""
+    try:
+        return result(tree, k, res)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+def test_search_selects_as_expand_then_select(monkeypatch):
+    # every free tree with n <= 10 at every k in 1..max degree + 1 and at
+    # k = n + 3, in chunks of one tree and in chunks of several: the search's
+    # step 1 gives what checking and selecting on every start gives
+    shapes = set()
+    for n in range(1, 11):
+        trees = list(enumerate_free_trees(n))
+        tops = range(1, max(g.max_degree() for g in trees) + 2)
+        for k in (*tops, n + 3):
+            chosen = [g for g in trees if k <= g.max_degree() + 1 or k == n + 3]
+            levels = tuple(_levels_from_graph(g) for g in chosen)
+            for cap in (0, 5 * 12 << 9):  # chunks of 1, and of 5 << (9 - n) trees (2 at n = 10)
+                monkeypatch.setattr(tables, "CHUNK_TABLE_BYTES", cap)
+                size = tables.chunk_size(n)
+                for i in range(0, len(levels), size):
+                    part = levels[i : i + size]
+                    found = [r for r, _ in extremal._search((part, k, False))]
+                    graphs = [r.tree for r in found]
+                    swept = tables.sweep_chunk(graphs, k)
+                    for g, r, res in zip(graphs, found, swept, strict=True):
+                        assert r == reference_result(g, k, sweep(g, k)), (g.edges, k)
+                        shapes.add((len(part) > 1, res._loop.deduped, r.tau_max))
+    # chunks of one tree and of several; loops on the distinct x(1) and on the
+    # starts; and, with the loop on the x(1), every x(1) on its cycle (T = 0)
+    assert {(multi, deduped) for multi, deduped, _ in shapes} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
+    assert (True, True, 1) in shapes
+
+
+def test_selection_when_every_x1_is_on_its_cycle(monkeypatch):
+    # four P4s whose x(1) are all on their cycle (T = 0), 14 of the 32
+    # starts: in the first three every start but the fixed ++++ steps to
+    # the fixed point ----, so tau_max = 1; the fourth is the identity, where
+    # every start is on its cycle and tau_max = 0
+    p4 = path_graph(4)
+    funnel = np.where(np.arange(16) == 15, 15, 0).astype(np.uint32)
+    succ = np.concatenate([funnel + np.uint32(i << 4) for i in range(3)] + [np.arange(48, 64)])
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: (
+        succ.astype(np.uint32), np.zeros(64, dtype=np.int16)))
+    results = tables.sweep_chunk([p4] * 4, 1)
+    assert results[0]._loop.deduped
+    for res in results[:3]:
+        assert (res.tau_max, res.attaining.tolist()) == (1, [1, 3, 5, 7, 9, 11, 13])
+    assert (results[3].tau_max, results[3].attaining.tolist()) == (0, list(range(1, 16, 2)))
+    for res in results:
+        assert extremal._result(p4, 1, res) == reference_result(p4, 1, res)
+
+
+def test_loop_state_selection_on_random_graphs():
+    # seeded random connected graphs: the selection, and whether some start
+    # passes the bounds, match the per-start arrays
+    rng = random.Random(83)
+    for n in range(2, 11):
+        graphs = [random_connected_graph(rng, n) for _ in range(4)]
+        for k in range(1, max(g.max_degree() for g in graphs) + 2):
+            for g, res in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
+                assert res.tau_max == int(res.taus.max())
+                attaining = np.flatnonzero(res.taus == res.tau_max)
+                assert res.attaining.tolist() == (2 * attaining + 1).tolist()
+                assert res.attaining_periods.tolist() == res.periods[attaining].tolist()
+                bound = np.minimum(res.plateau_energies + n - 1, n * (k + 1) - 1)
+                taus, plateaus = res.loop_outcomes
+                loop_bound = np.minimum(plateaus + n - 1, n * (k + 1) - 1)
+                assert np.any(taus > loop_bound) == np.any(res.taus > bound), (g.edges, k)
+
+
+def test_selection_on_tables_with_negative_energies(monkeypatch):
+    # real tables shifted down, so that plateau + n - 1 falls to 1, 0 and
+    # below on some cycle: the check on the loop's states may then flag a
+    # start on its cycle that meets its bound, and the per-start check
+    # decides; both ways give the same result or the same message
+    real = tables.chunk_tables
+
+    def shifted(down):
+        def build(graphs, k):
+            succ, energy = real(graphs, k)
+            return succ, energy - np.int16(down)
+        return build
+
+    flagged = set()
+    for n in range(2, 8):
+        trees = list(enumerate_free_trees(n))
+        for k in (1, 2, n + 3):
+            for down in range(n - 2, n + 2):
+                monkeypatch.setattr(tables, "chunk_tables", shifted(down))
+                for g, res in zip(trees, tables.sweep_chunk(trees, k)):
+                    found = outcome(g, k, res, extremal._result)
+                    assert found == outcome(g, k, res, reference_result), (g.edges, k, down)
+                    taus, plateaus = res.loop_outcomes
+                    flag = np.any(taus > np.minimum(plateaus + n - 1, n * (k + 1) - 1))
+                    flagged.add((bool(flag), isinstance(found, str)))
+    # the loop's states flag no start, a start over its bound, or only starts
+    # that meet theirs
+    assert flagged == {(False, False), (True, True), (True, False)}
+
+
+def test_search_on_one_and_two_vertices():
+    for n in (1, 2):
+        g = next(iter(enumerate_free_trees(n)))
+        for k in (1, 2, n + 3):
+            assert max_transient_search(g, k) == reference_result(g, k, sweep(g, k))
