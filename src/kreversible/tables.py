@@ -43,11 +43,9 @@ period and plateau energy. A start on its cycle, x(2) = x(0), has tau 0, and
 x(1) is on the same cycle, a fixed point iff x is, and at the same energy,
 since the monotonicity check (made first) holds energy constant on a cycle.
 The x(1), read from succ[1::2], are marked in a boolean table and taken with
-flatnonzero, typically under half the starts, and the loop runs on these
-distinct states. If they are more than half the starts, as when k > max
-degree makes succ the identity, the loop runs on the starts themselves,
-where the marks and the selection below would cost more than they save.
-Both loops carry traffic at k = 2.
+flatnonzero, and the loop runs on these distinct states: typically under
+half the starts, and one a start only when no two starts share an x(1), as
+when k > max degree makes succ the identity.
 
 The result is read off the loop's states: the only array over the starts
 that it builds is one boolean gather. Per graph, let T be the largest tau of
@@ -55,10 +53,10 @@ its loop states. If T > 0, tau_max = T + 1, and the starts attaining it are
 those whose x(1) has tau T: those states are marked in a boolean table,
 which is gathered at succ[1::2]. If T = 0, every x(1) is on its cycle; the
 starts on their cycle (the odd successors of the x(1), since succ is an
-involution on a cycle) have tau 0 and the others tau 1. When the loop ran
-on the starts, the starts at T attain it. The attaining starts' periods are
-their x(1)'s, found in the sorted loop states. A SweepResult derives the
-per-start arrays from the same loop result only when they are read.
+involution on a cycle) have tau 0 and the others tau 1; identity tables
+take this path with every start. The attaining starts' periods are their
+x(1)'s, found in the sorted loop states. A SweepResult derives the per-start
+arrays from the same loop result only when they are read.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -76,19 +74,21 @@ stores no starts: entry j of a graph's arrays is start 2j + 1, which
 SweepResult.start_bits derives.
 
 Memory, in bytes per state of the chunk: 6 for the tables (4 successor, 2
-energy); 1 for the mark table, freed before the loop; about 15 for the
-loop's arrays when it runs on the starts (30 per start), at most half that
-when it runs on the distinct x(1). The energy table is freed once the loop
-is done. Each loop state then keeps 15 bytes: the state, tau, period and
-plateau energy. That is at most 7.5 bytes a state of the chunk on the
-starts, and under 4 on the distinct x(1). The selection adds 1 byte a state
-for its marks and 0.5 for its flags, and for a moment 4 for its gather at
-succ[1::2], since np.take copies its indices to intp. The chunk budget of 12
-bytes a state still stands: what a chunk keeps once its loop is done, the
-successor table and its loop states, is at most 11.5 bytes a state, and the
-loop itself passed the budget before as it does now. So chunks hold the
-graphs they held before. Reading a result's per-start arrays adds 11 bytes
-a start (see SweepResult).
+energy); 1 for the mark table, freed before the loop; and about 30 per loop
+state for the loop's arrays. There are at most as many loop states as
+starts, half the chunk's states, so the loop takes at most 15 bytes a state,
+as on identity tables, and typically under half that. The energy table is
+freed once the loop is done. Each loop state then keeps 15 bytes: the
+state, tau, period and plateau energy, at most 7.5 bytes a state of the
+chunk. The selection adds 1 byte a state for its marks and 0.5 for its
+flags, and for a moment 4 for its gather at succ[1::2], since np.take copies
+its indices to intp. With T = 0 it adds 2 bytes a state for each of the x(1)'s
+successors, the starts on their cycle and their graphs, freed before the
+period lookup; that lookup's int64 indices take about 10 bytes a state for a
+moment when every start attains, as on identity tables. The chunk budget of
+12 bytes a state bounds what a chunk keeps once its loop is done, the
+successor table and its loop states: at most 11.5 bytes a state. Reading a
+result's per-start arrays adds 11 bytes a start (see SweepResult).
 
 Invariants are checked as the sweep runs, for each graph of a chunk — energy
 monotone over all 2^n transitions, transient within the graph's own proven
@@ -102,10 +102,14 @@ run on its path is one on x(1)'s path, or that run with the start's own
 first step in front. So every violation on a start's path shows in that
 loop. The converse fails: x(1) may keep its energy for n steps, one more
 than that loop allows, and x(1) need not be a start. So if that loop raises,
-the loop runs again on the starts with their own limits, and raises what a
-loop over the starts alone raises, naming the same start, or nothing. Each
-violation names the offending graph's edges, k and its first offending start
-configuration, which one `kreversible simulate` call replays.
+the loop runs on the starts with their own limits, and raises what a loop
+over the starts alone raises, naming the same start, or nothing. If
+nothing, the alarm was false, and the loop on the distinct x(1) runs again
+with the starts' limits, which no x(1) passes: one with tau > 0 is the x(1)
+of starts off their cycle only, each one step longer, and each of its
+constant runs ends one of theirs. Each violation names the offending
+graph's edges, k and its first offending start configuration, which one
+`kreversible simulate` call replays.
 """
 
 from __future__ import annotations
@@ -184,14 +188,13 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
 @dataclass(frozen=True, eq=False)
 class _Loop:
     """What the lockstep loop leaves for a chunk. states are the states it
-    ran on, increasing: the distinct x(1) of the starts if deduped, else the
-    starts themselves. tau, periods and plateaus are theirs, and graph i's
-    are at first[i]:first[i + 1]. succ is the chunk's successor table, whose
-    odd entries succ[1::2] are the starts' x(1)."""
+    ran on, the distinct x(1) of the starts, increasing. tau, periods and
+    plateaus are theirs, and graph i's are at first[i]:first[i + 1]. succ is
+    the chunk's successor table, whose odd entries succ[1::2] are the
+    starts' x(1)."""
 
     n: int
     succ: np.ndarray
-    deduped: bool
     states: np.ndarray
     first: np.ndarray
     tau: np.ndarray
@@ -208,32 +211,29 @@ class _Loop:
         half = 1 << (n - 1)
         top = np.maximum.reduceat(tau, first[:-1])  # T; each graph has a state
         counts = np.diff(first)
-        at_top = tau == top.repeat(counts)
-        if self.deduped:
-            # a start off its cycle has 1 + its x(1)'s tau, so for T > 0 the
-            # attaining starts are those whose x(1) is at T
-            hit = np.zeros(len(succ), dtype=bool)
-            hit[states[at_top]] = True
-            attain = hit.take(succ[1::2])  # start j of graph i is at i * half + j
-            del hit
-            tau_max = top + 1
-            flat = top == 0
-            if np.any(flat):
-                # every x(1) is on its cycle: the starts on their cycle (the
-                # odd successors of the x(1), as in expand) have tau 0, the
-                # others tau 1
-                partners = succ.take(states[flat.repeat(counts)])
-                on_cycle = partners[partners & 1 == 1] >> 1
-                graph = on_cycle >> (n - 1)
-                moved = flat & (np.bincount(graph, minlength=len(top)) < half)
-                attain[on_cycle[moved[graph]]] = False
-                tau_max[flat] = moved[flat]
-            picked = np.flatnonzero(attain)
-            # the attaining starts' periods are their x(1)'s
-            periods = self.periods.take(np.searchsorted(states, succ[2 * picked + 1]))
-        else:  # the loop ran on the starts
-            tau_max, picked = top, np.flatnonzero(at_top)
-            periods = self.periods.take(picked)
+        # a start off its cycle has 1 + its x(1)'s tau, so for T > 0 the
+        # attaining starts are those whose x(1) is at T
+        hit = np.zeros(len(succ), dtype=bool)
+        hit[states[tau == top.repeat(counts)]] = True
+        attain = hit.take(succ[1::2])  # start j of graph i is at i * half + j
+        del hit
+        tau_max = top + 1
+        flat = top == 0
+        if np.any(flat):
+            # every x(1) is on its cycle: the starts on their cycle (the odd
+            # successors of the x(1), as in expand) have tau 0, the others
+            # tau 1. Identity tables take this path with all the starts.
+            partners = succ.take(states[flat.repeat(counts)])
+            on_cycle = partners[partners & 1 == 1] >> 1
+            del partners
+            graph = on_cycle >> (n - 1)
+            moved = flat & (np.bincount(graph, minlength=len(top)) < half)
+            attain[on_cycle[moved[graph]]] = False
+            del on_cycle, graph
+            tau_max[flat] = moved[flat]
+        picked = np.flatnonzero(attain)
+        # the attaining starts' periods are their x(1)'s
+        periods = self.periods.take(np.searchsorted(states, succ[2 * picked + 1]))
         cuts = np.searchsorted(picked, np.arange(1, len(top)) * half)
         bits = 2 * (picked & (half - 1)) + 1
         return tau_max.tolist(), np.split(bits, cuts), np.split(periods, cuts)
@@ -242,8 +242,6 @@ class _Loop:
         """tau, period and plateau energy of each start of graph i."""
         part = self.part(i)
         tau, periods, plateaus = self.tau[part], self.periods[part], self.plateaus[part]
-        if not self.deduped:
-            return tau, periods, plateaus
         n, states = self.n, self.states[part]
         # each start's x(1), as an index into states
         rank = np.searchsorted(states, self.succ[(i << n) + 1 : (i + 1) << n : 2])
@@ -291,7 +289,7 @@ class SweepResult:
         each start has a pair's plateau energy and at most its tau."""
         loop = self._loop
         part = loop.part(self._graph)
-        return loop.tau[part] + np.int16(loop.deduped), loop.plateaus[part]
+        return loop.tau[part] + np.int16(1), loop.plateaus[part]
 
     @cached_property
     def _per_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,30 +336,35 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         g = graphs[int(state) >> n]
         return invariant_violation(g, k, Configuration(n, int(state) & ((1 << n) - 1)), what)
 
-    decreased = np.take(energy, succ) < energy
-    if np.any(decreased):
-        x = int(np.argmax(decreased))
-        raise violation(
-            x,
-            "energy decreased across a transition, "
-            f"{int(energy[x]) + offset} -> {int(energy[succ[x]]) + offset}",
-        )
+    # in blocks of 2^16 states: np.take copies its uint32 indices to intp, so
+    # a block's copy is 512 KiB where the whole table's is 32 MiB at n = 22
+    for lo in range(0, len(succ), 1 << 16):
+        block = slice(lo, lo + (1 << 16))
+        decreased = np.take(energy, succ[block]) < energy[block]
+        if np.any(decreased):
+            x = lo + int(np.argmax(decreased))
+            raise violation(
+                x,
+                "energy decreased across a transition, "
+                f"{int(energy[x]) + offset} -> {int(energy[succ[x]]) + offset}",
+            )
 
     budgets = np.array([n * (g.max_degree() + 1) + 1 for g in graphs])
-    # x(1) of each start; start j of graph i, i << n | j << 1 | 1, is at i << (n - 1) | j
-    x1 = succ[1::2]
+    # the distinct x(1); succ[1::2] holds the x(1) of start j of graph i,
+    # i << n | j << 1 | 1, at i << (n - 1) | j
     image = np.zeros(len(succ), dtype=bool)
-    image[x1] = True
-    deduped = 2 * np.count_nonzero(image) <= len(x1)
-    states = np.flatnonzero(image).astype(np.uint32) if deduped else None
+    image[succ[1::2]] = True
+    states = np.flatnonzero(image).astype(np.uint32)
     del image
-    if deduped:
-        try:  # limits one tighter, so that a violation on any start's path shows here
-            tau, cycle = _lockstep(succ, energy, states, n, budgets - 1, n - 1, violation)
-        except InternalInvariantError:  # or a false alarm: the starts' own limits decide
-            deduped = False
-    if not deduped:
-        states = np.arange(1, len(succ), 2, dtype=np.uint32)
+    try:  # limits one tighter, so that a violation on any start's path shows here
+        tau, cycle = _lockstep(succ, energy, states, n, budgets - 1, n - 1, violation)
+    except InternalInvariantError:  # or a false alarm: the starts' own limits decide
+        tau = None
+    if tau is None:  # outside the handler, whose traceback holds the loop's arrays
+        starts = np.arange(1, len(succ), 2, dtype=np.uint32)
+        _lockstep(succ, energy, starts, n, budgets, n, violation)
+        del starts
+        # a false alarm: no x(1) passes the starts' limits (module docstring)
         tau, cycle = _lockstep(succ, energy, states, n, budgets, n, violation)
 
     # per loop state: the period (1 iff x(tau) is a fixed point) and plateau energy
@@ -374,7 +377,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         np.searchsorted(states, np.arange(len(graphs), dtype=np.uint32) << np.uint32(n)),
         len(states),
     )
-    loop = _Loop(n, succ, deduped, states, first, tau, periods, plateaus)
+    loop = _Loop(n, succ, states, first, tau, periods, plateaus)
     return [
         SweepResult(n, k, top, bits, starts_periods, loop, i)
         for i, (top, bits, starts_periods) in enumerate(zip(*loop.select()))

@@ -203,6 +203,11 @@ STDOUT_SHA256 = [
      "46620bd01b2c36d3da8cd37e68cef6d74083b1d7f570bf5599f4766ac7fd8abc"),
     ("top", ["search", "--format", "csv"], 0,
      "ce4fa449cbf43c3859e2dc067427d09a303f0ef5a9b411c75ce46f6dcc7ddc70"),
+    # k = 4 > max degree 3: the identity tables, where every start is fixed
+    ("top", ["search", "--k", "4"], 0,
+     "9200ede64718df2483ca4f0a5035cd0ba6302917f60442e8bd599ab1116b9f86"),
+    ("top", ["search", "--k", "4", "--format", "json"], 0,
+     "952202d30b5276f860d77e016d406b92a6f8b7b12dbc2d97c1c1dbc780e96c13"),
     (None, ["conjecture", "--n", "8"], 0,
      "44d6e62f38f09f25a52b1f1bc4a09de8d63bef61b517f9295a3cba39e575bd1e"),
     (None, ["conjecture", "--n", "8", "--format", "json"], 0,

@@ -451,6 +451,27 @@ def test_sweep_invariant_errors_name_edges_k_and_start(monkeypatch):
     )
 
 
+def test_monotonicity_check_names_the_lowest_state_across_blocks(monkeypatch):
+    # the 17-vertex path has 2^17 states, two of the check's blocks of 2^16:
+    # one decrease past the first block, then one in each block
+    g = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
+    succ, energy = tables.chunk_tables([g], 1)
+    moving = np.flatnonzero(succ != np.arange(len(succ)))
+    low, high = int(moving[moving < 1 << 16][-1]), int(moving[moving >= 1 << 16][1000])
+    for decreasing in ([high], [low, high]):
+        bumped = energy.copy()
+        bumped[decreasing] += 100  # the one transition out of each now loses energy
+        assert set(succ[decreasing].tolist()).isdisjoint(decreasing)
+        monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k, e=bumped: (succ, e))
+        with pytest.raises(InternalInvariantError) as caught:
+            sweep(g, 1)
+        x = decreasing[0]
+        assert str(caught.value) == (
+            f"edges={[[i, i + 1] for i in range(1, 17)]} k=1 start {Configuration(17, x)}: "
+            f"energy decreased across a transition, {energy[x] + 100} -> {energy[succ[x]]}"
+        )
+
+
 def assert_same_sweep(chunked, alone):
     assert chunked.n == alone.n and chunked.k == alone.k
     for field in ("start_bits", "taus", "periods", "plateau_energies"):
@@ -537,7 +558,8 @@ def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
 
 def loop_runs(monkeypatch) -> list[tuple[int, int]]:
     """Record (start states, run limit) of each lockstep loop the sweep runs:
-    a run limit of n - 1 marks the loop over the distinct x(1)."""
+    the distinct x(1) at n - 1, and after an alarm the starts at n, then the
+    distinct x(1) at n."""
     runs = []
     real = tables._lockstep
 
@@ -566,7 +588,7 @@ def test_sweep_matches_scalar_trajectories(monkeypatch):
     for n in range(2, 11):
         graphs = [random_connected_graph(rng, n) for _ in range(3)]
         cases += [(graphs, k) for k in (1, 2, max(g.max_degree() for g in graphs) + 1)]
-    deduped = set()
+    every_x1_distinct = set()
     for graphs, k in cases:
         runs.clear()
         for g, res in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
@@ -576,10 +598,13 @@ def test_sweep_matches_scalar_trajectories(monkeypatch):
             ):
                 r = run_trajectory(g, Configuration(g.n, bits), k)
                 assert [r.tau, r.period, r.plateau_energy] == swept, (g.edges, k, bits)
-        deduped.add(runs[0][1] < graphs[0].n)
-    # both loops ran: on the distinct x(1), and on the starts, as when k > max
-    # degree leaves every start fixed
-    assert deduped == {True, False}
+        n = graphs[0].n
+        [(states, limit)] = runs
+        assert limit == n - 1, (k, [g.edges for g in graphs])
+        every_x1_distinct.add(states == len(graphs) << (n - 1))
+    # the loop ran once on the distinct x(1) of each chunk: fewer than the
+    # starts, and one a start, as when k > max degree leaves every start fixed
+    assert every_x1_distinct == {True, False}
 
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -607,8 +632,9 @@ def test_sweep_constant_run_of_n_from_x1_is_no_violation(monkeypatch):
     assert res.periods.tolist() == [1] * 8
     assert res.plateau_energies.tolist() == [1] * 7 + [0]
     # the run of n steps from x(1) passes the distinct loop's limit of n - 1:
-    # the starts are rerun with their own limit, which it does not pass
-    assert runs == [(2, 3), (8, 4)]
+    # the starts are run with their own limit, which it does not pass, and
+    # the distinct x(1) again with the starts' limits
+    assert runs == [(2, 3), (8, 4), (2, 4)]
 
 
 def test_sweep_constant_run_counting_the_starts_first_step_names_it(monkeypatch):
@@ -623,11 +649,42 @@ def test_sweep_constant_run_counting_the_starts_first_step_names_it(monkeypatch)
     assert runs == [(2, 3), (8, 4)]
 
 
+def test_sweep_false_alarm_in_a_chunk_gives_each_graph_its_own_result(monkeypatch):
+    # the funnel tables beside a real P4's, first and last: the funnel's run
+    # sets off the distinct loop's alarm for the whole chunk, and each graph
+    # still gets what it gets swept alone, the real P4 the scalar engine's
+    real = sweep(P4, 1)
+    for bits, *swept in zip(real.start_bits.tolist(), real.taus.tolist(),
+                            real.periods.tolist(), real.plateau_energies.tolist()):
+        r = run_trajectory(P4, Configuration(4, bits), 1)
+        assert [r.tau, r.period, r.plateau_energy] == swept, bits
+    real_tables = tables.chunk_tables([P4], 1)
+    runs = loop_runs(monkeypatch)
+    monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: funnel_tables())
+    funnel = sweep(P4, 1)
+    for (succ_0, energy_0), (succ_1, energy_1), alone in (
+        (funnel_tables(), real_tables, [funnel, real]),
+        (real_tables, funnel_tables(), [real, funnel]),
+    ):
+        succ = np.concatenate([succ_0, succ_1 + np.uint32(16)])
+        energy = np.concatenate([energy_0, energy_1])
+        monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: (succ, energy))
+        runs.clear()
+        results = tables.sweep_chunk([P4, P4], 1)
+        for res, res_alone in zip(results, alone, strict=True):
+            assert_same_sweep(res, res_alone)
+            assert (res.tau_max, res.attaining.tolist(), res.attaining_periods.tolist()) == (
+                res_alone.tau_max, res_alone.attaining.tolist(),
+                res_alone.attaining_periods.tolist(),
+            )
+        distinct = 2 + len(real._loop.states)
+        assert runs == [(distinct, 3), (16, 4), (distinct, 4)]
+
+
 def test_sweep_transient_of_exactly_the_budget_and_one_more(monkeypatch):
     # three P4s, whose budget is 13: the first climbs 0 -> 1 -> ... -> top,
     # fixed there, with energy rising by 1 a step; the other two send every
-    # state but the fixed ++++ to their state 0, so the distinct x(1) are at
-    # most 12 of the 24 starts
+    # state but the fixed ++++ to their state 0
     runs = loop_runs(monkeypatch)
     funnel = np.zeros(16, dtype=np.uint32)
     funnel[15] = 15
@@ -660,16 +717,16 @@ def test_sweep_transient_of_exactly_the_budget_and_one_more(monkeypatch):
 
 
 def test_sweep_results_are_signed(monkeypatch):
-    # the 4-vertex star at k = 1 has starts of tau 0 and of period 1, and the
-    # loop runs on the distinct x(1); at k = 4 every start is fixed, and it
-    # runs on the starts. On both paths, results less a constant must not wrap.
+    # the 4-vertex star at k = 1 has starts of tau 0 and of period 1, and
+    # fewer x(1) than starts; at k = 4 every start is fixed, and the loop
+    # runs on all of them. Either way, results less a constant must not wrap.
     runs = loop_runs(monkeypatch)
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for k in (1, 4):
         res = sweep(star, k)
         assert (res.taus - 1).min() == -1
         assert (res.periods - 2).min() == -1
-    assert [limit for _, limit in runs] == [3, 4]
+    assert runs == [(2, 3), (8, 3)]
 
 
 def assert_chunk_tables_split(graphs, k):

@@ -765,9 +765,8 @@ def test_bound_violation_names_tree_k_and_start(monkeypatch):
 
 
 def test_bound_violation_in_a_chunk_names_its_tree(monkeypatch):
-    # the same tables for the path among the n = 5 trees, the others' real:
-    # the chunk's x(1) are more than half its starts, so the loop runs on
-    # the starts; the conjecture search names the path as it labels it
+    # the same tables for the path among the n = 5 trees, the others' real;
+    # the conjecture search names the path as it labels it
     real = tables.chunk_tables
     path_code = canonical_code(path_graph(5)).hex()
 
@@ -823,13 +822,12 @@ def test_search_selects_as_expand_then_select(monkeypatch):
                     swept = tables.sweep_chunk(graphs, k)
                     for g, r, res in zip(graphs, found, swept, strict=True):
                         assert r == reference_result(g, k, sweep(g, k)), (g.edges, k)
-                        shapes.add((len(part) > 1, res._loop.deduped, r.tau_max))
-    # chunks of one tree and of several; loops on the distinct x(1) and on the
-    # starts; and, with the loop on the x(1), every x(1) on its cycle (T = 0)
-    assert {(multi, deduped) for multi, deduped, _ in shapes} == {
-        (False, False), (False, True), (True, False), (True, True)
-    }
-    assert (True, True, 1) in shapes
+                        shapes.add((len(part) > 1, min(r.tau_max, 2)))
+    # chunks of one tree and of several, each with trees where some x(1) is
+    # off its cycle (tau_max >= 2), where every x(1) is on its cycle but
+    # some start is not (T = 0, tau_max = 1), and where every start is on
+    # its cycle (tau_max = 0), as on the identity tables of k = n + 3
+    assert shapes == {(multi, top) for multi in (False, True) for top in (0, 1, 2)}
 
 
 def test_selection_when_every_x1_is_on_its_cycle(monkeypatch):
@@ -843,7 +841,7 @@ def test_selection_when_every_x1_is_on_its_cycle(monkeypatch):
     monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: (
         succ.astype(np.uint32), np.zeros(64, dtype=np.int16)))
     results = tables.sweep_chunk([p4] * 4, 1)
-    assert results[0]._loop.deduped
+    assert results[0]._loop.states.tolist() == [0, 15, 16, 31, 32, 47, *range(49, 64, 2)]
     for res in results[:3]:
         assert (res.tau_max, res.attaining.tolist()) == (1, [1, 3, 5, 7, 9, 11, 13])
     assert (results[3].tau_max, results[3].attaining.tolist()) == (0, list(range(1, 16, 2)))
