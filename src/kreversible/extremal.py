@@ -54,8 +54,10 @@ from .trees import _edges_from_levels, _graph_from_levels, _levels_from_graph
 from .trees import canonical_code, free_tree_levels
 
 DEFAULT_EXHAUSTIVE_LIMIT = 16
-# chunks per pool message; a chunk's tables fill CHUNK_TABLE_BYTES at any n,
-# so this is a near-constant amount of work per message
+# chunks per pool message. Up to n = 13 a full chunk comes to about
+# CHUNK_TABLE_BYTES at 12 bytes a state, and at n = 14 and 15 to 384 KiB; from
+# n = 16 on one tree passes the cap, so a chunk, and the work of a message,
+# doubles with each vertex: 768 KiB at n = 16, 3 MiB at n = 18
 CHUNKS_PER_MESSAGE = 8
 
 
@@ -156,7 +158,7 @@ def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
         if over.size:
             i = over[0]
             raise invariant_violation(
-                tree, k, Configuration(tree.n, 2 * int(i) + 1),
+                tree, k, Configuration(tree.n, int(res.start_bits[i])),
                 f"expected tau <= {bound[i]} by the transient bounds, "
                 f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
                 tree=canonical_code(tree).hex(),

@@ -48,15 +48,17 @@ half the starts, and one a start only when no two starts share an x(1), as
 when k > max degree makes succ the identity.
 
 The result is read off the loop's states: the only array over the starts
-that it builds is one boolean gather. Per graph, let T be the largest tau of
+that it builds is one int8 gather. Per graph, let T be the largest tau of
 its loop states. If T > 0, tau_max = T + 1, and the starts attaining it are
-those whose x(1) has tau T: those states are marked in a boolean table,
-which is gathered at succ[1::2]. If T = 0, every x(1) is on its cycle; the
-starts on their cycle (the odd successors of the x(1), since succ is an
-involution on a cycle) have tau 0 and the others tau 1; identity tables
-take this path with every start. The attaining starts' periods are their
-x(1)'s, found in the sorted loop states. A SweepResult derives the per-start
-arrays from the same loop result only when they are read.
+those whose x(1) has tau T: those states are marked with their period in an
+int8 table that holds 0 elsewhere, which is gathered at succ[1::2]. If
+T = 0, every x(1) is on its cycle; the starts on their cycle (the odd
+successors of the x(1), since succ is an involution on a cycle) have tau 0
+and the others tau 1, and the entries of those that do not attain are
+cleared to 0; identity tables take this path with every start. A start
+attains iff its entry is nonzero, and the entry is its period, its x(1)'s.
+A SweepResult derives the per-start arrays from the same loop result only
+when they are read.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -81,11 +83,12 @@ as on identity tables, and typically under half that. The energy table is
 freed once the loop is done. Each loop state then keeps 15 bytes: the
 state, tau, period and plateau energy, at most 7.5 bytes a state of the
 chunk. The selection adds 1 byte a state for its marks and 0.5 for its
-flags, and for a moment 4 for its gather at succ[1::2], since np.take copies
-its indices to intp. With T = 0 it adds 2 bytes a state for each of the x(1)'s
+gather at succ[1::2], and for a moment 4 more, since np.take copies its
+indices to intp. With T = 0 it adds 2 bytes a state for each of the x(1)'s
 successors, the starts on their cycle and their graphs, freed before the
-period lookup; that lookup's int64 indices take about 10 bytes a state for a
-moment when every start attains, as on identity tables. The chunk budget of
+attaining starts are picked; their int64 indices and bits take 8 bytes a
+state when every start attains, as on identity tables, and picking them 0.5
+for a moment. The chunk budget of
 12 bytes a state bounds what a chunk keeps once its loop is done, the
 successor table and its loop states: at most 11.5 bytes a state. Reading a
 result's per-start arrays adds 11 bytes a start (see SweepResult).
@@ -206,17 +209,20 @@ class _Loop:
 
     def select(self) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
         """Per graph: tau_max, the bits of the starts attaining it, increasing,
-        and their periods, found on the loop's states."""
+        and their periods, all read off the loop's states."""
         n, succ, states, tau, first = self.n, self.succ, self.states, self.tau, self.first
         half = 1 << (n - 1)
         top = np.maximum.reduceat(tau, first[:-1])  # T; each graph has a state
         counts = np.diff(first)
-        # a start off its cycle has 1 + its x(1)'s tau, so for T > 0 the
-        # attaining starts are those whose x(1) is at T
-        hit = np.zeros(len(succ), dtype=bool)
-        hit[states[tau == top.repeat(counts)]] = True
-        attain = hit.take(succ[1::2])  # start j of graph i is at i * half + j
-        del hit
+        # a start off its cycle has 1 + its x(1)'s tau and its x(1)'s period,
+        # so for T > 0 the attaining starts are those whose x(1) is at T; the
+        # states at T are marked with their period, 1 or 2, and others with 0
+        marks = np.zeros(len(succ), dtype=np.int8)
+        at_top = tau == top.repeat(counts)
+        marks[states[at_top]] = self.periods[at_top]
+        del at_top
+        attain = marks.take(succ[1::2])  # start j of graph i is at i * half + j
+        del marks
         tau_max = top + 1
         flat = top == 0
         if np.any(flat):
@@ -228,12 +234,11 @@ class _Loop:
             del partners
             graph = on_cycle >> (n - 1)
             moved = flat & (np.bincount(graph, minlength=len(top)) < half)
-            attain[on_cycle[moved[graph]]] = False
+            attain[on_cycle[moved[graph]]] = 0
             del on_cycle, graph
             tau_max[flat] = moved[flat]
-        picked = np.flatnonzero(attain)
-        # the attaining starts' periods are their x(1)'s
-        periods = self.periods.take(np.searchsorted(states, succ[2 * picked + 1]))
+        picked = np.flatnonzero(attain != 0)  # nonzero is ten times faster on bools
+        periods = attain[picked]
         cuts = np.searchsorted(picked, np.arange(1, len(top)) * half)
         bits = 2 * (picked & (half - 1)) + 1
         return tau_max.tolist(), np.split(bits, cuts), np.split(periods, cuts)

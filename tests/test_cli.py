@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,8 @@ from kreversible.serialize import CSV_COLUMNS, canonical_json
 from conftest import FIG_TOP_TREE_TEXT, P3_TEXT
 
 P5_TEXT = "n=5\n1 2\n2 3\n3 4\n4 5\n"
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -240,6 +243,37 @@ def test_outputs_match_goldens(capsys, tmp_path, p3_file, top_tree_file):
         code, out, err = run_cli(capsys, command, *graph_args, *options)
         assert (code, err) == (exit_code, ""), [command, *options]
         assert hashlib.sha256(out.encode()).hexdigest() == digest, [command, *options]
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first fenced block in lang after a README heading."""
+    text = README.read_text(encoding="utf-8")
+    fence = f"```{lang}\n"
+    start = text.index(fence, text.index(f"\n{heading}\n")) + len(fence)
+    return text[start : text.index("```", start)]
+
+
+def test_readme_examples_print_what_they_show(capsys, monkeypatch, tmp_path):
+    exec(readme_block("## The dynamics in 20 lines", "python"), {})
+    assert "5 1" in capsys.readouterr().out.splitlines()  # tau and period
+    # each CLI example with output shown, run in a directory holding its
+    # graph files; "..." marks output cut short
+    (tmp_path / "p3.txt").write_text(P3_TEXT)
+    (tmp_path / "tree8.txt").write_text(FIG_TOP_TREE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    shown: dict[str, list[str]] = {}  # command -> the output lines after it
+    for line in readme_block("## CLI", "sh").splitlines():
+        if line.startswith("$ kreversible "):
+            command = line.removeprefix("$ kreversible ")
+            shown[command] = []
+        elif line and not line.startswith("#") and line != "...":
+            shown[command].append(line)
+    shown = {command: lines for command, lines in shown.items() if lines}
+    assert sorted(command.split()[0] for command in shown) == ["bounds", "generate", "simulate"]
+    for command, lines in shown.items():
+        assert main(shlex.split(command)) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        assert out[: len(lines)] == lines, command
 
 
 def test_search_text(capsys, top_tree_file):

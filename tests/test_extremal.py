@@ -861,6 +861,7 @@ def test_loop_state_selection_on_random_graphs():
                 attaining = np.flatnonzero(res.taus == res.tau_max)
                 assert res.attaining.tolist() == (2 * attaining + 1).tolist()
                 assert res.attaining_periods.tolist() == res.periods[attaining].tolist()
+                assert res.attaining_periods.dtype == np.int8
                 bound = np.minimum(res.plateau_energies + n - 1, n * (k + 1) - 1)
                 taus, plateaus = res.loop_outcomes
                 loop_bound = np.minimum(plateaus + n - 1, n * (k + 1) - 1)
