@@ -158,7 +158,7 @@ def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
         if over.size:
             i = over[0]
             raise invariant_violation(
-                tree, k, Configuration(tree.n, int(res.start_bits[i])),
+                tree, k, Configuration(tree.n, 2 * int(i) + 1),  # entry j is start 2j + 1
                 f"expected tau <= {bound[i]} by the transient bounds, "
                 f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
                 tree=canonical_code(tree).hex(),

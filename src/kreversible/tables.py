@@ -12,18 +12,24 @@ flip bit and its energy term |op_v - k| depend only on the states of its
 closed neighbourhood N[v]. The chunk's index space is viewed as an array of
 shape (T,) + (2,)*(n-L) + (2^L,) for T graphs, with L = n // 2: a leading
 graph axis, the low L bits as one contiguous trailing axis, and an axis for
-each high bit (axis 1 + a holds bit n-1-a). There is one pass per vertex
-slot v for the whole chunk. The formula is evaluated on every combination
-of the high bits in the union over the chunk of N[v], times all 2^L low
-states, a sample whose other high axes have length 1, with each graph's
-neighbour mask a column on the graph axis. That local table broadcasts over
-the axes outside the union, so the successor table (which starts as the
-identity; flip bits of different vertices never overlap) takes it with one
-in-place XOR and the energy table with one in-place add. A slot of degree
-below k in every graph never flips, since op_v <= deg(v), so there only the
-energy is added. state_tables(g, k) is the chunk of one, whose union is
-N[v]: no other temporary spans the whole space unless N[v] holds every high
-bit.
+each high bit (axis 1 + a holds bit n-1-a). Vertex slot v's local table
+evaluates the formula on every combination of the high bits in the union
+over the chunk of N[v], times all 2^L low states, a sample whose other high
+axes have length 1, with each graph's neighbour mask a column on the graph
+axis; it broadcasts over the axes outside the union. The slots are walked
+in order and grouped while the union of their high bits leaves at least
+GROUP_SPARE_BITS of the n - L high bits out. Each slot's local table is
+added into its group's accumulators, a uint32 flip table and an int16
+energy table over the group's union, and each group then makes one
+in-place XOR into the successor table (which starts as the identity; flip
+bits of different vertices never overlap) and one in-place add into the
+energy table: two full-width passes a group, not two a slot. A group of
+one slot, as is every slot whose own union leaves fewer bits out, goes
+straight into the tables. A slot of degree below k in every graph never
+flips, since op_v <= deg(v), so there only the energy is added, and a group
+none of whose slots flips has no flip accumulator. state_tables(g, k) is
+the chunk of one, whose union is N[v]: no other temporary spans the whole
+space unless N[v] holds every high bit.
 
 For k >= n no vertex flips and each term is k - op_v, so E_k = E_n + n(k - n)
 (dynamics._cap_k): the tables are summed at min(k, n), in int16 at every k,
@@ -76,10 +82,12 @@ stores no starts: entry j of a graph's arrays is start 2j + 1, which
 SweepResult.start_bits derives.
 
 Memory, in bytes per state of the chunk: 6 for the tables (4 successor, 2
-energy); 1 for the mark table, freed before the loop; and about 30 per loop
-state for the loop's arrays. There are at most as many loop states as
-starts, half the chunk's states, so the loop takes at most 15 bytes a state,
-as on identity tables, and typically under half that. The energy table is
+energy), and while they are built at most 6/16 more for a group's
+accumulators, which span at most 1/16 of the chunk's states at 6 bytes each
+(GROUP_SPARE_BITS = 4); 1 for the mark table, freed before the loop; and
+about 30 per loop state for the loop's arrays. There are at most as many
+loop states as starts, half the chunk's states, so the loop takes at most 15
+bytes a state, as on identity tables, and typically under half that. The energy table is
 freed once the loop is done. Each loop state then keeps 15 bytes: the
 state, tau, period and plateau energy, at most 7.5 bytes a state of the
 chunk. The selection adds 1 byte a state for its marks and 0.5 for its
@@ -138,6 +146,19 @@ MAX_TABLE_VERTICES = 25
 # chunking adds little to a run's peak RSS.
 CHUNK_TABLE_BYTES = 512 << 10
 
+# The table build groups vertex slots while the union of their closed
+# neighbourhoods leaves at least this many high bits out, so that a group's
+# accumulators span at most 1/2^GROUP_SPARE_BITS of a chunk's states. Measured
+# on a 2-vCPU VM with 2 MiB of L2 a core, best of 5, as the build time of
+# the five search-large cases (random trees, n = 19..22, one a chunk) and
+# per tree on 20 trees each of n = 17 and 18 at k = 2:
+#   spare bits        2      3      4      5      6   (one pass a slot)
+#   search-large  53.8   38.2   31.1   35.8   37.9 ms   (95.7 ms)
+#   n = 17        0.73   0.69   0.68   0.71   0.77 ms   (0.99 ms)
+#   n = 18        1.14   1.06   1.05   1.11   1.34 ms   (1.92 ms)
+# At n = 13, whose chunks sit in L2, all of them took 0.13 ms a tree.
+GROUP_SPARE_BITS = 4
+
 
 def state_tables(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(successor, energy) arrays over all 2^n packed configurations, the
@@ -163,29 +184,62 @@ def chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarra
     k, _ = _cap_k(k, n)
     low = n // 2
     high = n - low
-    shape = (len(graphs),) + (2,) * high + (1 << low,)
+    count = len(graphs)
+    shape = (count,) + (2,) * high + (1 << low,)
     high_bits = np.arange(1 << high, dtype=np.uint32) << np.uint32(low)
     high_bits = high_bits.reshape((2,) * high + (1,))
     low_bits = np.arange(1 << low, dtype=np.uint32)
     full = np.uint32((1 << n) - 1)
-    succ = np.arange(len(graphs) << n, dtype=np.uint32)
-    energy = np.zeros(len(graphs) << n, dtype=np.int16)  # each term |op_v - k| <= n
+    succ = np.arange(count << n, dtype=np.uint32)
+    energy = np.zeros(count << n, dtype=np.int16)  # each term |op_v - k| <= n
     succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
     slot_masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint32).T
-    for v, masks in enumerate(slot_masks):
-        closed = int(np.bitwise_or.reduce(masks)) | (1 << v)
-        # high bits outside every graph's N[v] are held at 0: no formula reads them
-        sample = tuple(slice(None) if closed >> (n - 1 - a) & 1 else slice(1) for a in range(high))
-        states = high_bits[sample] | low_bits
-        sign_v = (states >> np.uint32(v)) & np.uint32(1)
-        # neighbors disagreeing with v: complement the state word where v is
-        # +1; graph i's mask, a column on the graph axis, broadcasts over states
-        discord = (states ^ (sign_v * full)) & masks.reshape((-1,) + (1,) * (high + 1))
-        op = np.bitwise_count(discord).astype(np.int16)
-        if int(np.bitwise_count(masks).max()) >= k:  # else op <= degree < k: v never flips
-            succ_view ^= (op >= k) * np.uint32(1 << v)
-        energy_view += np.abs(op - k)
+    # per slot: the union over the chunk of N[v], and whether v can flip in
+    # some graph (else op <= degree < k everywhere)
+    closed = [int(np.bitwise_or.reduce(masks)) | (1 << v) for v, masks in enumerate(slot_masks)]
+    flips = (np.bitwise_count(slot_masks).max(axis=1) >= k).tolist()
+
+    def sample(bits: int) -> tuple[slice, ...]:
+        # high bits outside `bits` are held at 0: no formula of these slots reads them
+        return tuple(slice(None) if bits >> (n - 1 - a) & 1 else slice(1) for a in range(high))
+
+    for group, union in _slot_groups(closed, low, high - GROUP_SPARE_BITS):
+        if len(group) == 1:  # straight into the tables
+            flip, terms = succ_view, energy_view
+        else:
+            part = (count,) + high_bits[sample(union)].shape[:-1] + (1 << low,)
+            flip = np.zeros(part, dtype=np.uint32) if any(flips[v] for v in group) else None
+            terms = np.zeros(part, dtype=np.int16)
+        for v in group:
+            states = high_bits[sample(closed[v])] | low_bits
+            sign_v = (states >> np.uint32(v)) & np.uint32(1)
+            # neighbors disagreeing with v: complement the state word where v is
+            # +1; graph i's mask, a column on the graph axis, broadcasts over states
+            discord = (states ^ (sign_v * full)) & slot_masks[v].reshape((-1,) + (1,) * (high + 1))
+            op = np.bitwise_count(discord).astype(np.int16)
+            if flips[v]:
+                flip ^= (op >= k) * np.uint32(1 << v)
+            terms += np.abs(op - k)
+        if len(group) > 1:
+            if flip is not None:
+                succ_view ^= flip
+            energy_view += terms
     return succ, energy
+
+
+def _slot_groups(closed: list[int], low: int, cap: int) -> list[tuple[list[int], int]]:
+    """The vertex slots, in order, in runs whose closed neighbourhoods hold at
+    most cap high bits (bits low and up) together, each with the union of
+    their closed neighbourhoods; a slot that holds more alone is a run of
+    one."""
+    groups: list[tuple[list[int], int]] = []
+    for v, bits in enumerate(closed):
+        if groups and ((groups[-1][1] | bits) >> low).bit_count() <= cap:
+            slots, union = groups[-1]
+            groups[-1] = (slots + [v], union | bits)
+        else:
+            groups.append(([v], bits))
+    return groups
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,8 @@
 exhaustive reports, the acceptance-criteria summary printed at the end of
 the run, and the reference helpers the tests check the package against: the
 Prüfer-sequence oracle for tree enumeration, the brute-force maximum energy
-of a graph and the expand-then-select step 1 of the search. The oracle
+of a graph, the per-slot table build and the expand-then-select step 1 of
+the search. The oracle
 decodes one Prüfer sequence per degree order, not all n^(n-2): 13,391
 sequences for n = 2..9."""
 
@@ -26,8 +27,10 @@ from kreversible import (
     state_tables,
     verify_conjecture,
 )
+from kreversible.dynamics import _cap_k, _check_k
 from kreversible.errors import invariant_violation
 from kreversible.extremal import SearchResult
+from kreversible.tables import MAX_TABLE_VERTICES
 from kreversible.trees import _bfs_order, _centers_from_adjacency, canonical_code
 
 # --- acceptance bookkeeping -------------------------------------------------
@@ -102,6 +105,50 @@ def max_energy(g: Graph, k: int) -> tuple[int, tuple[Configuration, ...]]:
     _, energy = state_tables(g, k)
     best = int(energy.max())
     return best, tuple(Configuration(g.n, int(bits)) for bits in np.flatnonzero(energy == best))
+
+
+# --- per-slot reference for the table build ----------------------------------
+
+
+def reference_chunk_tables(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """tables.chunk_tables as it was before it grouped slots: each vertex
+    slot's local table goes straight into the chunk's tables, one in-place
+    XOR and one in-place add over the whole chunk a slot."""
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("a chunk takes graphs with one vertex count")
+    if n > MAX_TABLE_VERTICES:
+        raise ValueError(f"state tables need n <= {MAX_TABLE_VERTICES}, got {n}")
+    _check_k(k)
+    if n * (k + 1) > np.iinfo(np.int64).max:
+        # energies and the transient bound n*(k+1) - 1 are int64
+        raise ValueError(f"n*(k+1) must fit in int64, got n={n} and k={k}")
+    k, _ = _cap_k(k, n)
+    low = n // 2
+    high = n - low
+    shape = (len(graphs),) + (2,) * high + (1 << low,)
+    high_bits = np.arange(1 << high, dtype=np.uint32) << np.uint32(low)
+    high_bits = high_bits.reshape((2,) * high + (1,))
+    low_bits = np.arange(1 << low, dtype=np.uint32)
+    full = np.uint32((1 << n) - 1)
+    succ = np.arange(len(graphs) << n, dtype=np.uint32)
+    energy = np.zeros(len(graphs) << n, dtype=np.int16)  # each term |op_v - k| <= n
+    succ_view, energy_view = succ.reshape(shape), energy.reshape(shape)
+    slot_masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint32).T
+    for v, masks in enumerate(slot_masks):
+        closed = int(np.bitwise_or.reduce(masks)) | (1 << v)
+        # high bits outside every graph's N[v] are held at 0: no formula reads them
+        sample = tuple(slice(None) if closed >> (n - 1 - a) & 1 else slice(1) for a in range(high))
+        states = high_bits[sample] | low_bits
+        sign_v = (states >> np.uint32(v)) & np.uint32(1)
+        # neighbors disagreeing with v: complement the state word where v is
+        # +1; graph i's mask, a column on the graph axis, broadcasts over states
+        discord = (states ^ (sign_v * full)) & masks.reshape((-1,) + (1,) * (high + 1))
+        op = np.bitwise_count(discord).astype(np.int16)
+        if int(np.bitwise_count(masks).max()) >= k:  # else op <= degree < k: v never flips
+            succ_view ^= (op >= k) * np.uint32(1 << v)
+        energy_view += np.abs(op - k)
+    return succ, energy
 
 
 # --- expand-then-select reference for the search's step 1 --------------------

@@ -23,7 +23,7 @@ from kreversible import (
     sweep,
 )
 from kreversible import dynamics, tables
-from conftest import random_connected_graph, random_tree, relabel
+from conftest import random_connected_graph, random_tree, reference_chunk_tables, relabel
 
 
 def permute_config(x: Configuration, perm: list[int]) -> Configuration:
@@ -773,6 +773,73 @@ def test_chunk_tables_match_each_graph_alone():
     top16 = np.iinfo(np.int16).max // 12
     for k in (top16, top16 + 1, 1 << 40):
         assert_chunk_tables_split(graphs, k)
+
+
+def assert_tables_match_reference(graphs, k):
+    """chunk_tables equals the per-slot build bit for bit, in value and dtype."""
+    for got, want in zip(tables.chunk_tables(graphs, k), reference_chunk_tables(graphs, k)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (graphs[0].n, k)
+
+
+def slot_groups(graphs):
+    """The groups of vertex slots chunk_tables forms for these graphs."""
+    n = graphs[0].n
+    closed = [
+        int(np.bitwise_or.reduce([g.neighbor_masks[v] for g in graphs])) | 1 << v
+        for v in range(n)
+    ]
+    cap = n - n // 2 - tables.GROUP_SPARE_BITS
+    return [slots for slots, _ in tables._slot_groups(closed, n // 2, cap)]
+
+
+def test_chunk_tables_match_per_slot_reference():
+    # every free tree with n <= 11, alone and in chunks of several, at every
+    # k from 1 to one above the largest degree and at k = n + 3
+    for n in range(1, 12):
+        trees = list(enumerate_free_trees(n))
+        for size in (1, 6):
+            for i in range(0, len(trees), size):
+                chunk = trees[i : i + size]
+                top = max(g.max_degree() for g in chunk)
+                for k in [*range(1, top + 2), n + 3]:
+                    assert_tables_match_reference(chunk, k)
+    # dense graphs: a complete graph's slots each read every bit, so each
+    # group has one slot and writes straight into the tables
+    rng = random.Random(89)
+    for n in range(2, 13):
+        complete = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+        assert all(len(slots) == 1 for slots in slot_groups([complete]))
+        graphs = [random_connected_graph(rng, n) for _ in range(3)]
+        for k in [*range(1, max(g.max_degree() for g in graphs) + 2), n + 3]:
+            assert_tables_match_reference([complete], k)
+            assert_tables_match_reference(graphs[:1], k)
+            assert_tables_match_reference(graphs, k)
+    # on a path, the low slots read no high bit beyond the split, so they
+    # share a group with the first slots across it; at k = 2 the end vertex
+    # 0 never flips, and at k = 3 no slot of the group does
+    path = Graph.from_edges(14, [(v, v + 1) for v in range(13)])
+    group = slot_groups([path])[0]
+    assert len(group) > 1 and 0 in group
+    for k in (1, 2, 3):
+        assert_tables_match_reference([path], k)
+        assert_tables_match_reference([path, crossing_path(14)], k)
+
+
+def test_state_tables_match_scalar_engine_on_sampled_large_graphs():
+    # one graph's tables at n = 16..20, checked at seeded states
+    rng = random.Random(97)
+    graphs = [
+        random_tree(rng, 20),
+        Graph.from_edges(16, [(0, v) for v in range(1, 16)]),
+        crossing_path(18),
+    ]
+    for g in graphs:
+        for k in (1, 2, 3):
+            succ, energy = state_tables(g, k)
+            for bits in rng.sample(range(1 << g.n), 2000):
+                x = Configuration(g.n, bits)
+                assert int(succ[bits]) == step(g, x, k).bits, (g.n, k, bits)
+                assert int(energy[bits]) == config_energy(g, x, k), (g.n, k, bits)
 
 
 def test_sweep_rejects_oversized_graphs():
