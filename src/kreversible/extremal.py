@@ -49,7 +49,7 @@ import numpy as np
 from .dynamics import Configuration, parse_config, run_trajectory
 from .errors import ParseError, invariant_violation
 from .graphs import Edge, Graph, _one_based, is_tree
-from .tables import SweepResult, chunk_size, sweep_chunk
+from .tables import Selection, chunk_size, sweep, sweep_chunk
 from .trees import _edges_from_levels, _graph_from_levels, _levels_from_graph
 from .trees import canonical_code, free_tree_levels
 
@@ -145,14 +145,14 @@ def _transient_bound(plateaus: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.minimum(plateaus + (n - 1), n * (k + 1) - 1)
 
 
-def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
-    """Step 1 for one tree, given its sweep: every start is checked against
-    the transient bounds, and the starts attaining the maximum are kept. The
-    check runs on the loop's states (SweepResult.loop_outcomes); only if one
-    passes its bound are the per-start arrays read, to name the first start
-    that does."""
-    taus, plateaus = res.loop_outcomes
-    if np.any(taus > _transient_bound(plateaus, tree.n, k)):
+def _result(tree: Graph, k: int, sel: Selection) -> SearchResult:
+    """Step 1 for one tree, given its sweep's selection: every start is
+    checked against the transient bounds, and the starts attaining the
+    maximum are kept. The check runs on the loop's states; only if one
+    passes its bound is the tree swept alone for its per-start arrays, to
+    name the first start that does."""
+    if np.any(sel.loop_taus > _transient_bound(sel.loop_plateaus, tree.n, k)):
+        res = sweep(tree, k)
         bound = _transient_bound(res.plateau_energies, tree.n, k)
         over = np.flatnonzero(res.taus > bound)
         if over.size:
@@ -163,8 +163,8 @@ def _result(tree: Graph, k: int, res: SweepResult) -> SearchResult:
                 f"observed (tau, period) = ({res.taus[i]}, {res.periods[i]})",
                 tree=canonical_code(tree).hex(),
             )
-    starts = zip(res.attaining.tolist(), res.attaining_periods.tolist())
-    return SearchResult(tree, k, res.tau_max, tuple(starts))
+    starts = zip(sel.attaining.tolist(), sel.attaining_periods.tolist())
+    return SearchResult(tree, k, sel.tau_max, tuple(starts))
 
 
 def _start_worker() -> None:

@@ -149,7 +149,7 @@ def parse_edge_list(text: str) -> Graph:
     ignored. Raises a distinct ParseError subclass per defect.
     """
     n: int | None = None
-    edges: list[Edge] = []
+    listed: dict[Edge, int] = {}  # each edge, 0-based with u < v, and the line listing it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,7 +175,12 @@ def parse_edge_list(text: str) -> Graph:
             raise VertexIndexError(f"line {lineno}: vertex out of range 1..{n} in {line!r}")
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u - 1, v - 1))
+        edge = (min(u, v) - 1, max(u, v) - 1)
+        if edge in listed:
+            raise DuplicateEdgeError(
+                f"line {lineno}: edge ({u}, {v}) already listed on line {listed[edge]}"
+            )
+        listed[edge] = lineno
     if n is None:
         raise MalformedLineError("missing 'n=<int>' header line")
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, listed)

@@ -53,18 +53,20 @@ flatnonzero, and the loop runs on these distinct states: typically under
 half the starts, and one a start only when no two starts share an x(1), as
 when k > max degree makes succ the identity.
 
-The result is read off the loop's states: the only array over the starts
-that it builds is one int8 gather. Per graph, let T be the largest tau of
-its loop states. If T > 0, tau_max = T + 1, and the starts attaining it are
-those whose x(1) has tau T: those states are marked with their period in an
-int8 table that holds 0 elsewhere, which is gathered at succ[1::2]. If
-T = 0, every x(1) is on its cycle; the starts on their cycle (the odd
-successors of the x(1), since succ is an involution on a cycle) have tau 0
-and the others tau 1, and the entries of those that do not attain are
-cleared to 0; identity tables take this path with every start. A start
-attains iff its entry is nonzero, and the entry is its period, its x(1)'s.
-A SweepResult derives the per-start arrays from the same loop result only
-when they are read.
+sweep(g, k) gives each start of its one graph its x(1)'s outcome, tau one
+more, through one rank lookup; a start on its cycle gets tau 0 (_on_cycle:
+such starts are the odd successors of the x(1) with tau 0, since succ is an
+involution on a cycle). sweep_chunk, which the search calls, selects on the
+loop's states instead: its only array over the starts is one int8 gather.
+Per graph, let T be the largest tau of its loop states. If T > 0,
+tau_max = T + 1, and the starts attaining it are those whose x(1) has tau
+T: those states are marked with their period in an int8 table that holds 0
+elsewhere, which is gathered at succ[1::2]. If T = 0, every x(1) is on its
+cycle; the starts on their cycle have tau 0 and the others tau 1, and the
+entries of those that do not attain are cleared to 0; identity tables take
+this path with every start. A start attains iff its entry is nonzero, and
+the entry is its period, its x(1)'s. Its Selection also keeps the loop
+states' tau and plateau energy, for the search's bound check.
 
 The loop reads the int16 energy table and keeps states in uint32, so a step
 gathers 2 bytes of energy per state. It compacts nothing per step: each
@@ -77,8 +79,8 @@ the closed states' indices first and compacts one array at a time, so the
 peak holds one array's copy, not all eight. The period (1 iff x(tau) is a
 fixed point) and the plateau energy E(x(tau)) are read from x(tau) once the
 loop is done, the period built in int8 and the energy widened to int64 as
-it is read and offset for k > n; tau stays the loop's int16. A result
-stores no starts: entry j of a graph's arrays is start 2j + 1, which
+it is read and offset for k > n; tau stays the loop's int16. A SweepResult
+stores no starts: entry j of its arrays is start 2j + 1, which
 SweepResult.start_bits derives.
 
 Memory, in bytes per state of the chunk: 6 for the tables (4 successor, 2
@@ -90,16 +92,18 @@ loop states as starts, half the chunk's states, so the loop takes at most 15
 bytes a state, as on identity tables, and typically under half that. The energy table is
 freed once the loop is done. Each loop state then keeps 15 bytes: the
 state, tau, period and plateau energy, at most 7.5 bytes a state of the
-chunk. The selection adds 1 byte a state for its marks and 0.5 for its
-gather at succ[1::2], and for a moment 4 more, since np.take copies its
+chunk. The chunk budget of 12 bytes a state bounds what a chunk keeps once
+its loop is done, the successor table and its loop states: at most 11.5
+bytes a state. The selection adds 1 byte a state for its marks and 0.5 for
+its gather at succ[1::2], and for a moment 4 more, since np.take copies its
 indices to intp. With T = 0 it adds 2 bytes a state for each of the x(1)'s
 successors, the starts on their cycle and their graphs, freed before the
-attaining starts are picked; their int64 indices and bits take 8 bytes a
-state when every start attains, as on identity tables, and picking them 0.5
-for a moment. The chunk budget of
-12 bytes a state bounds what a chunk keeps once its loop is done, the
-successor table and its loop states: at most 11.5 bytes a state. Reading a
-result's per-start arrays adds 11 bytes a start (see SweepResult).
+attaining starts are picked. The successor table is freed then too; the
+attaining starts' int64 indices and bits take 8 bytes a state when every
+start attains, as on identity tables, and picking them 0.5 for a moment.
+Each Selection keeps 10 bytes a loop state, its tau and plateau energy.
+sweep(g, k) instead takes 8 bytes a start for the rank of each start's
+x(1), and its SweepResult keeps 11 bytes a start (see SweepResult).
 
 Invariants are checked as the sweep runs, for each graph of a chunk — energy
 monotone over all 2^n transitions, transient within the graph's own proven
@@ -126,8 +130,8 @@ graph's edges, k and its first offending start configuration, which one
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,128 +247,39 @@ def _slot_groups(closed: list[int], low: int, cap: int) -> list[tuple[list[int],
 
 
 @dataclass(frozen=True, eq=False)
-class _Loop:
-    """What the lockstep loop leaves for a chunk. states are the states it
-    ran on, the distinct x(1) of the starts, increasing. tau, periods and
-    plateaus are theirs, and graph i's are at first[i]:first[i + 1]. succ is
-    the chunk's successor table, whose odd entries succ[1::2] are the
-    starts' x(1)."""
-
-    n: int
-    succ: np.ndarray
-    states: np.ndarray
-    first: np.ndarray
-    tau: np.ndarray
-    periods: np.ndarray
-    plateaus: np.ndarray
-
-    def part(self, i: int) -> slice:
-        return slice(int(self.first[i]), int(self.first[i + 1]))
-
-    def select(self) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
-        """Per graph: tau_max, the bits of the starts attaining it, increasing,
-        and their periods, all read off the loop's states."""
-        n, succ, states, tau, first = self.n, self.succ, self.states, self.tau, self.first
-        half = 1 << (n - 1)
-        top = np.maximum.reduceat(tau, first[:-1])  # T; each graph has a state
-        counts = np.diff(first)
-        # a start off its cycle has 1 + its x(1)'s tau and its x(1)'s period,
-        # so for T > 0 the attaining starts are those whose x(1) is at T; the
-        # states at T are marked with their period, 1 or 2, and others with 0
-        marks = np.zeros(len(succ), dtype=np.int8)
-        at_top = tau == top.repeat(counts)
-        marks[states[at_top]] = self.periods[at_top]
-        del at_top
-        attain = marks.take(succ[1::2])  # start j of graph i is at i * half + j
-        del marks
-        tau_max = top + 1
-        flat = top == 0
-        if np.any(flat):
-            # every x(1) is on its cycle: the starts on their cycle (the odd
-            # successors of the x(1), as in expand) have tau 0, the others
-            # tau 1. Identity tables take this path with all the starts.
-            partners = succ.take(states[flat.repeat(counts)])
-            on_cycle = partners[partners & 1 == 1] >> 1
-            del partners
-            graph = on_cycle >> (n - 1)
-            moved = flat & (np.bincount(graph, minlength=len(top)) < half)
-            attain[on_cycle[moved[graph]]] = 0
-            del on_cycle, graph
-            tau_max[flat] = moved[flat]
-        picked = np.flatnonzero(attain != 0)  # nonzero is ten times faster on bools
-        periods = attain[picked]
-        cuts = np.searchsorted(picked, np.arange(1, len(top)) * half)
-        bits = 2 * (picked & (half - 1)) + 1
-        return tau_max.tolist(), np.split(bits, cuts), np.split(periods, cuts)
-
-    def expand(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """tau, period and plateau energy of each start of graph i."""
-        part = self.part(i)
-        tau, periods, plateaus = self.tau[part], self.periods[part], self.plateaus[part]
-        n, states = self.n, self.states[part]
-        # each start's x(1), as an index into states
-        rank = np.searchsorted(states, self.succ[(i << n) + 1 : (i + 1) << n : 2])
-        taus = (tau + 1).take(rank)
-        # a start x has x(2) = x(0) iff its x(1) has tau 0 and x is the
-        # successor of its x(1); and every odd successor of a state with tau 0
-        # is such a start, start j of graph i being the state i << n | 2j + 1
-        partners = self.succ.take(states[tau == 0])
-        taus[(partners[partners & 1 == 1] & np.uint32((1 << n) - 1)) >> 1] = 0
-        return taus, periods.take(rank), plateaus.take(rank)
-
-
-@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Outcome of an exhaustive sweep of one graph over its starts, the
-    configurations with vertex 0 at +1. tau_max is the largest transient of
-    a start; attaining holds the bits of the starts that reach it,
-    increasing, and attaining_periods their periods.
+    """Per-start outcome of an exhaustive sweep; entry j is start 2j + 1.
 
-    The per-start arrays are derived on first read from what the loop left;
-    entry j is start 2j + 1 (start_bits). taus is int16: tau is within the
-    graph's budget n(max_degree+1)+1, at most 25 * 25 + 1 = 626 up to
-    MAX_TABLE_VERTICES. periods is int8: by the paper the period is 1 or 2.
-    plateau_energies is int64: it carries n(k - n) for k > n. All three are
-    signed, so arithmetic such as taus - 1 cannot wrap.
+    taus is int16: tau is within the graph's budget n(max_degree+1)+1, at most
+    25 * 25 + 1 = 626 up to MAX_TABLE_VERTICES. periods is int8: by the paper
+    the period is 1 or 2. plateau_energies is int64: it carries n(k - n) for
+    k > n. All three are signed, so arithmetic such as taus - 1 cannot wrap.
     """
 
     n: int
     k: int
-    tau_max: int
-    attaining: np.ndarray
-    attaining_periods: np.ndarray
-    _loop: _Loop = field(repr=False)
-    _graph: int = field(repr=False)
+    taus: np.ndarray
+    periods: np.ndarray
+    plateau_energies: np.ndarray
 
     @property
     def start_bits(self) -> np.ndarray:
         return np.arange(1, 1 << self.n, 2, dtype=np.uint32)
 
-    @property
-    def loop_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tau, plateau energy) per state the loop ran on, tau counted from
-        the starts that step to it. A start off its cycle has its x(1)'s pair,
-        and a start on its cycle has tau 0 and its x(1)'s plateau energy: so
-        each start has a pair's plateau energy and at most its tau."""
-        loop = self._loop
-        part = loop.part(self._graph)
-        return loop.tau[part] + np.int16(1), loop.plateaus[part]
 
-    @cached_property
-    def _per_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._loop.expand(self._graph)
+class Selection(NamedTuple):
+    """What the search keeps of one graph's sweep: tau_max, the bits of the
+    starts attaining it, increasing, and their int8 periods; and the tau and
+    plateau energy of each state the loop ran on, tau counted from the starts
+    that step to it. A start off its cycle has its x(1)'s pair, and one on
+    its cycle tau 0 and its x(1)'s plateau energy: so each start has a
+    pair's plateau energy and at most its tau."""
 
-    @property
-    def taus(self) -> np.ndarray:
-        return self._per_start[0]
-
-    @property
-    def periods(self) -> np.ndarray:
-        return self._per_start[1]
-
-    @property
-    def plateau_energies(self) -> np.ndarray:
-        return self._per_start[2]
+    tau_max: int
+    attaining: np.ndarray
+    attaining_periods: np.ndarray
+    loop_taus: np.ndarray
+    loop_plateaus: np.ndarray
 
 
 def chunk_size(n: int) -> int:
@@ -376,17 +291,70 @@ def chunk_size(n: int) -> int:
 def sweep(g: Graph, k: int) -> SweepResult:
     """Run every initial configuration with vertex 0 at +1 to its cycle, in
     lockstep; global negation maps the other half pointwise onto these, step
-    for step. The chunk of one graph.
+    for step. The chunk of one graph, each start given its x(1)'s outcome.
     """
-    return sweep_chunk([g], k)[0]
+    succ, states, _, tau, periods, plateaus = _run_loop([g], k)
+    rank = np.searchsorted(states, succ[1::2])  # each start's x(1), as an index into states
+    taus = (tau + 1).take(rank)
+    taus[_on_cycle(succ, states[tau == 0])] = 0
+    return SweepResult(g.n, k, taus, periods.take(rank), plateaus.take(rank))
 
 
-def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
+def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[Selection]:
     """Sweep graphs with one vertex count in one lockstep loop over their
-    concatenated tables; one SweepResult per graph, in order, each equal to
-    what sweep gives that graph alone. An invariant violation names the
-    graph it occurs on and that graph's first offending start.
+    concatenated tables; one Selection per graph, in order, each what the
+    search would read off sweep of that graph alone. An invariant violation
+    names the graph it occurs on and that graph's first offending start.
     """
+    n = graphs[0].n
+    succ, states, first, tau, periods, plateaus = _run_loop(graphs, k)
+    half = 1 << (n - 1)
+    top = np.maximum.reduceat(tau, first[:-1])  # T; each graph has a state
+    counts = np.diff(first)
+    # a start off its cycle has 1 + its x(1)'s tau and its x(1)'s period,
+    # so for T > 0 the attaining starts are those whose x(1) is at T; the
+    # states at T are marked with their period, 1 or 2, and others with 0
+    marks = np.zeros(len(succ), dtype=np.int8)
+    at_top = tau == top.repeat(counts)
+    marks[states[at_top]] = periods[at_top]
+    del at_top
+    attain = marks.take(succ[1::2])  # start j of graph i is at i * half + j
+    del marks
+    tau_max = top + 1
+    flat = top == 0
+    if np.any(flat):
+        # every x(1) is on its cycle: the starts on their cycle have tau 0,
+        # the others tau 1. Identity tables take this path with all the starts.
+        on_cycle = _on_cycle(succ, states[flat.repeat(counts)])
+        graph = on_cycle >> (n - 1)
+        moved = flat & (np.bincount(graph, minlength=len(top)) < half)
+        attain[on_cycle[moved[graph]]] = 0
+        del on_cycle, graph
+        tau_max[flat] = moved[flat]
+    del succ
+    picked = np.flatnonzero(attain != 0)  # nonzero is ten times faster on bools
+    cuts = np.searchsorted(picked, np.arange(1, len(top)) * half)
+    bits = np.split(2 * (picked & (half - 1)) + 1, cuts)
+    loop_taus, loop_plateaus = np.split(tau + 1, first[1:-1]), np.split(plateaus, first[1:-1])
+    fields = zip(tau_max.tolist(), bits, np.split(attain[picked], cuts), loop_taus, loop_plateaus)
+    return [Selection(*f) for f in fields]
+
+
+def _on_cycle(succ: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """The starts on their cycle, x(2) = x(0), whose x(1) is one of x1, states
+    with tau 0, as indices into succ[1::2]. Such a start is the successor of
+    its x(1), and every odd successor of a state with tau 0 is such a start."""
+    partners = succ.take(x1)
+    return partners[partners & 1 == 1] >> 1
+
+
+def _run_loop(graphs: Sequence[Graph], k: int) -> tuple[np.ndarray, ...]:
+    """The chunk's successor table, whose odd entries succ[1::2] are the
+    starts' x(1), and what the lockstep loop leaves: the states it ran on,
+    the distinct x(1), increasing; first, graph i's states being at
+    first[i]:first[i + 1]; and their tau, period and plateau energy. An
+    invariant violation names the graph it occurs on and that graph's first
+    offending start."""
     n = graphs[0].n
     succ, energy = chunk_tables(graphs, k)
     _, offset = _cap_k(k, n)  # for the energies that leave
@@ -436,11 +404,7 @@ def sweep_chunk(graphs: Sequence[Graph], k: int) -> list[SweepResult]:
         np.searchsorted(states, np.arange(len(graphs), dtype=np.uint32) << np.uint32(n)),
         len(states),
     )
-    loop = _Loop(n, succ, states, first, tau, periods, plateaus)
-    return [
-        SweepResult(n, k, top, bits, starts_periods, loop, i)
-        for i, (top, bits, starts_periods) in enumerate(zip(*loop.select()))
-    ]
+    return succ, states, first, tau, periods, plateaus
 
 
 def _lockstep(

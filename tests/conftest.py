@@ -175,6 +175,26 @@ def reference_result(tree: Graph, k: int, res) -> SearchResult:
     return SearchResult(tree, k, tau_max, tuple(starts))
 
 
+def assert_selection_matches_sweep(sel, res, k: int) -> None:
+    """A sweep_chunk Selection against the sweep of its graph alone: tau_max,
+    the attaining starts and their int8 periods, and whether some start
+    passes the transient bounds, read on the loop's states and on every
+    start."""
+    n = res.n
+    tau_max = int(res.taus.max())
+    attaining = np.flatnonzero(res.taus == tau_max)
+    assert sel.tau_max == tau_max
+    assert sel.attaining.tolist() == res.start_bits[attaining].tolist()
+    assert sel.attaining_periods.dtype == np.int8
+    assert sel.attaining_periods.tolist() == res.periods[attaining].tolist()
+    assert (sel.loop_taus.dtype, sel.loop_plateaus.dtype) == (np.int16, np.int64)
+
+    def over(taus, plateaus) -> bool:
+        return bool(np.any(taus > np.minimum(plateaus + n - 1, n * (k + 1) - 1)))
+
+    assert over(sel.loop_taus, sel.loop_plateaus) == over(res.taus, res.plateau_energies)
+
+
 # --- Prüfer-sequence oracle for tree enumeration (Prüfer 1918) ---------------
 
 

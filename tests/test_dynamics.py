@@ -23,7 +23,10 @@ from kreversible import (
     sweep,
 )
 from kreversible import dynamics, tables
-from conftest import random_connected_graph, random_tree, reference_chunk_tables, relabel
+from conftest import (
+    assert_selection_matches_sweep, random_connected_graph, random_tree, reference_chunk_tables,
+    relabel,
+)
 
 
 def permute_config(x: Configuration, perm: list[int]) -> Configuration:
@@ -391,7 +394,7 @@ def test_sweep_across_the_int16_energy_boundary():
     for k in (11, 12, 13, top16, top16 + 1):
         for g, chunked in zip(graphs, tables.sweep_chunk(graphs, k)):
             res = sweep(g, k)
-            assert_same_sweep(chunked, res)
+            assert_selection_matches_sweep(chunked, res, k)
             for field, dtype in zip(("taus", "periods", "plateau_energies"),
                                     (np.int16, np.int8, np.int64)):
                 assert getattr(res, field).dtype == dtype, field
@@ -472,13 +475,6 @@ def test_monotonicity_check_names_the_lowest_state_across_blocks(monkeypatch):
         )
 
 
-def assert_same_sweep(chunked, alone):
-    assert chunked.n == alone.n and chunked.k == alone.k
-    for field in ("start_bits", "taus", "periods", "plateau_energies"):
-        a, b = getattr(chunked, field), getattr(alone, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-
-
 def test_sweep_chunk_matches_sweep_per_graph():
     # every free tree with n <= 10 at every k in 1..max degree + 1, swept in
     # chunks of 1, 2, 3, ... trees so chunk boundaries fall everywhere
@@ -494,14 +490,14 @@ def test_sweep_chunk_matches_sweep_per_graph():
                 results = tables.sweep_chunk(chunk, k)
                 assert len(results) == len(chunk)
                 for g, res in zip(chunk, results):
-                    assert_same_sweep(res, sweep(g, k))
+                    assert_selection_matches_sweep(res, sweep(g, k), k)
     # graphs with different maximum degrees, so with different step budgets
     rng = random.Random(67)
     graphs = [random_connected_graph(rng, 9) for _ in range(6)] + [random_tree(rng, 9)]
     assert len({g.max_degree() for g in graphs}) > 2
     for k in (1, 2, 4):
         for g, res in zip(graphs, tables.sweep_chunk(graphs, k)):
-            assert_same_sweep(res, sweep(g, k))
+            assert_selection_matches_sweep(res, sweep(g, k), k)
     with pytest.raises(ValueError):
         tables.sweep_chunk([graphs[0], random_tree(rng, 8)], 1)
 
@@ -553,7 +549,12 @@ def test_sweep_chunk_errors_name_the_offending_graph(monkeypatch):
         assert str(caught.value) == f"edges=[[1, 2], [2, 3], [3, 4]] k=1 start {start}: {what}"
     # the same chain within the star's budget of 17 steps is no violation
     monkeypatch.setattr(tables, "chunk_tables", corrupt(0, chain, np.arange(16, dtype=np.int64)))
-    assert tables.sweep_chunk(chunk, 1)[0].taus[0] == 14
+    star = tables.sweep_chunk(chunk, 1)[0]
+    assert (star.tau_max, star.attaining.tolist()) == (14, [1])
+    assert star.attaining_periods.tolist() == [1]
+    alone = sweep(chunk[0], 1)
+    assert alone.taus[0] == 14
+    assert_selection_matches_sweep(star, alone, 1)
 
 
 def loop_runs(monkeypatch) -> list[tuple[int, int]]:
@@ -591,17 +592,20 @@ def test_sweep_matches_scalar_trajectories(monkeypatch):
     every_x1_distinct = set()
     for graphs, k in cases:
         runs.clear()
-        for g, res in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
+        selections = tables.sweep_chunk(graphs, k)
+        n = graphs[0].n
+        [(states, limit)] = runs
+        assert limit == n - 1, (k, [g.edges for g in graphs])
+        every_x1_distinct.add(states == len(graphs) << (n - 1))
+        for g, sel in zip(graphs, selections, strict=True):
+            res = sweep(g, k)
+            assert_selection_matches_sweep(sel, res, k)
             for bits, *swept in zip(
                 res.start_bits.tolist(), res.taus.tolist(), res.periods.tolist(),
                 res.plateau_energies.tolist(),
             ):
                 r = run_trajectory(g, Configuration(g.n, bits), k)
                 assert [r.tau, r.period, r.plateau_energy] == swept, (g.edges, k, bits)
-        n = graphs[0].n
-        [(states, limit)] = runs
-        assert limit == n - 1, (k, [g.edges for g in graphs])
-        every_x1_distinct.add(states == len(graphs) << (n - 1))
     # the loop ran once on the distinct x(1) of each chunk: fewer than the
     # starts, and one a start, as when k > max degree leaves every start fixed
     assert every_x1_distinct == {True, False}
@@ -672,12 +676,8 @@ def test_sweep_false_alarm_in_a_chunk_gives_each_graph_its_own_result(monkeypatc
         runs.clear()
         results = tables.sweep_chunk([P4, P4], 1)
         for res, res_alone in zip(results, alone, strict=True):
-            assert_same_sweep(res, res_alone)
-            assert (res.tau_max, res.attaining.tolist(), res.attaining_periods.tolist()) == (
-                res_alone.tau_max, res_alone.attaining.tolist(),
-                res_alone.attaining_periods.tolist(),
-            )
-        distinct = 2 + len(real._loop.states)
+            assert_selection_matches_sweep(res, res_alone, 1)
+        distinct = 2 + len(np.unique(real_tables[0][1::2]))
         assert runs == [(distinct, 3), (16, 4), (distinct, 4)]
 
 
@@ -686,27 +686,33 @@ def test_sweep_transient_of_exactly_the_budget_and_one_more(monkeypatch):
     # fixed there, with energy rising by 1 a step; the other two send every
     # state but the fixed ++++ to their state 0
     runs = loop_runs(monkeypatch)
-    funnel = np.zeros(16, dtype=np.uint32)
-    funnel[15] = 15
+    funnel = (np.where(np.arange(16) == 15, 15, 0).astype(np.uint32), np.zeros(16, dtype=np.int16))
 
     def climb(top):
-        def build(graphs, k):
-            succ = np.concatenate([np.minimum(np.arange(16, dtype=np.uint32) + 1, top),
-                                   funnel + np.uint32(16), funnel + np.uint32(32)])
-            energy = np.zeros(48, dtype=np.int16)
-            energy[:16] = np.minimum(np.arange(16), top)
-            return succ, energy
-        return build
+        return (np.minimum(np.arange(16, dtype=np.uint32) + 1, top),
+                np.minimum(np.arange(16), top).astype(np.int16))
 
-    monkeypatch.setattr(tables, "chunk_tables", climb(14))  # start 1 reaches 14 at tau = 13
-    first, *rest = tables.sweep_chunk([P4] * 3, 1)
-    assert first.taus.tolist() == [13, 11, 9, 7, 5, 3, 1, 1]
-    assert first.periods.tolist() == [1] * 8 and first.plateau_energies.tolist() == [14] * 8
-    for res in rest:
-        assert res.taus.tolist() == [1] * 7 + [0] and res.plateau_energies.tolist() == [0] * 8
+    def chunk_of(*parts):
+        """chunk_tables for P4s with these tables, in order."""
+        succ = np.concatenate([s + np.uint32(i << 4) for i, (s, _) in enumerate(parts)])
+        energy = np.concatenate([e for _, e in parts])
+        return lambda graphs, k: (succ, energy)
+
+    monkeypatch.setattr(tables, "chunk_tables", chunk_of(climb(14), funnel, funnel))
+    first, *rest = tables.sweep_chunk([P4] * 3, 1)  # start 1 reaches 14 at tau = 13
     assert runs == [(11, 3)]
+    monkeypatch.setattr(tables, "chunk_tables", chunk_of(climb(14)))
+    alone = sweep(P4, 1)
+    assert alone.taus.tolist() == [13, 11, 9, 7, 5, 3, 1, 1]
+    assert alone.periods.tolist() == [1] * 8 and alone.plateau_energies.tolist() == [14] * 8
+    assert_selection_matches_sweep(first, alone, 1)
+    monkeypatch.setattr(tables, "chunk_tables", chunk_of(funnel))
+    alone = sweep(P4, 1)
+    assert alone.taus.tolist() == [1] * 7 + [0] and alone.plateau_energies.tolist() == [0] * 8
+    for res in rest:
+        assert_selection_matches_sweep(res, alone, 1)
     runs.clear()
-    monkeypatch.setattr(tables, "chunk_tables", climb(15))  # tau = 14
+    monkeypatch.setattr(tables, "chunk_tables", chunk_of(climb(15), funnel, funnel))  # tau = 14
     with pytest.raises(InternalInvariantError) as caught:
         tables.sweep_chunk([P4] * 3, 1)
     assert str(caught.value) == (

@@ -36,7 +36,9 @@ from kreversible.trees import (
     canonical_code,
     free_tree_levels,
 )
-from conftest import random_connected_graph, random_tree, reference_result
+from conftest import (
+    assert_selection_matches_sweep, random_connected_graph, random_tree, reference_result,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -818,9 +820,8 @@ def test_search_selects_as_expand_then_select(monkeypatch):
                 for i in range(0, len(levels), size):
                     part = levels[i : i + size]
                     found = [r for r, _ in extremal._search((part, k, False))]
-                    graphs = [r.tree for r in found]
-                    swept = tables.sweep_chunk(graphs, k)
-                    for g, r, res in zip(graphs, found, swept, strict=True):
+                    for r in found:
+                        g = r.tree
                         assert r == reference_result(g, k, sweep(g, k)), (g.edges, k)
                         shapes.add((len(part) > 1, min(r.tau_max, 2)))
     # chunks of one tree and of several, each with trees where some x(1) is
@@ -837,35 +838,39 @@ def test_selection_when_every_x1_is_on_its_cycle(monkeypatch):
     # every start is on its cycle and tau_max = 0
     p4 = path_graph(4)
     funnel = np.where(np.arange(16) == 15, 15, 0).astype(np.uint32)
-    succ = np.concatenate([funnel + np.uint32(i << 4) for i in range(3)] + [np.arange(48, 64)])
+    parts = [funnel] * 3 + [np.arange(16, dtype=np.uint32)]
+    succ = np.concatenate([part + np.uint32(i << 4) for i, part in enumerate(parts)])
     monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k: (
-        succ.astype(np.uint32), np.zeros(64, dtype=np.int16)))
+        succ, np.zeros(64, dtype=np.int16)))
+    real, ran = tables._lockstep, []
+
+    def recording(succ, energy, states, *rest):
+        ran.append(states.tolist())
+        return real(succ, energy, states, *rest)
+
+    monkeypatch.setattr(tables, "_lockstep", recording)
     results = tables.sweep_chunk([p4] * 4, 1)
-    assert results[0]._loop.states.tolist() == [0, 15, 16, 31, 32, 47, *range(49, 64, 2)]
+    assert ran == [[0, 15, 16, 31, 32, 47, *range(49, 64, 2)]]
     for res in results[:3]:
         assert (res.tau_max, res.attaining.tolist()) == (1, [1, 3, 5, 7, 9, 11, 13])
     assert (results[3].tau_max, results[3].attaining.tolist()) == (0, list(range(1, 16, 2)))
-    for res in results:
-        assert extremal._result(p4, 1, res) == reference_result(p4, 1, res)
+    for res, part in zip(results, parts, strict=True):
+        monkeypatch.setattr(tables, "chunk_tables", lambda graphs, k, s=part: (
+            s, np.zeros(16, dtype=np.int16)))
+        alone = sweep(p4, 1)
+        assert_selection_matches_sweep(res, alone, 1)
+        assert extremal._result(p4, 1, res) == reference_result(p4, 1, alone)
 
 
 def test_loop_state_selection_on_random_graphs():
     # seeded random connected graphs: the selection, and whether some start
-    # passes the bounds, match the per-start arrays
+    # passes the bounds, match the per-start arrays of each graph's own sweep
     rng = random.Random(83)
     for n in range(2, 11):
         graphs = [random_connected_graph(rng, n) for _ in range(4)]
         for k in range(1, max(g.max_degree() for g in graphs) + 2):
-            for g, res in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
-                assert res.tau_max == int(res.taus.max())
-                attaining = np.flatnonzero(res.taus == res.tau_max)
-                assert res.attaining.tolist() == (2 * attaining + 1).tolist()
-                assert res.attaining_periods.tolist() == res.periods[attaining].tolist()
-                assert res.attaining_periods.dtype == np.int8
-                bound = np.minimum(res.plateau_energies + n - 1, n * (k + 1) - 1)
-                taus, plateaus = res.loop_outcomes
-                loop_bound = np.minimum(plateaus + n - 1, n * (k + 1) - 1)
-                assert np.any(taus > loop_bound) == np.any(res.taus > bound), (g.edges, k)
+            for g, sel in zip(graphs, tables.sweep_chunk(graphs, k), strict=True):
+                assert_selection_matches_sweep(sel, sweep(g, k), k)
 
 
 def test_selection_on_tables_with_negative_energies(monkeypatch):
@@ -887,11 +892,12 @@ def test_selection_on_tables_with_negative_energies(monkeypatch):
         for k in (1, 2, n + 3):
             for down in range(n - 2, n + 2):
                 monkeypatch.setattr(tables, "chunk_tables", shifted(down))
-                for g, res in zip(trees, tables.sweep_chunk(trees, k)):
-                    found = outcome(g, k, res, extremal._result)
-                    assert found == outcome(g, k, res, reference_result), (g.edges, k, down)
-                    taus, plateaus = res.loop_outcomes
-                    flag = np.any(taus > np.minimum(plateaus + n - 1, n * (k + 1) - 1))
+                for g, sel in zip(trees, tables.sweep_chunk(trees, k)):
+                    found = outcome(g, k, sel, extremal._result)
+                    expected = outcome(g, k, sweep(g, k), reference_result)
+                    assert found == expected, (g.edges, k, down)
+                    bound = np.minimum(sel.loop_plateaus + n - 1, n * (k + 1) - 1)
+                    flag = np.any(sel.loop_taus > bound)
                     flagged.add((bool(flag), isinstance(found, str)))
     # the loop's states flag no start, a start over its bound, or only starts
     # that meet theirs

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kreversible import Graph, is_tree, parse_edge_list
+from kreversible.cli import main
 from kreversible.graphs import (
     DuplicateEdgeError,
     MalformedLineError,
@@ -68,6 +69,17 @@ def test_parse_self_loop():
 def test_parse_duplicate_edge_even_reversed():
     with pytest.raises(DuplicateEdgeError):
         parse_edge_list("n=3\n1 2\n2 1\n")
+
+
+def test_duplicate_edge_names_both_lines_and_the_file_vertices(tmp_path, capsys):
+    # like every other edge-list error: line numbers and 1-based vertices
+    with pytest.raises(DuplicateEdgeError) as caught:
+        parse_edge_list("n=3\n1 2\n2 3\n2 1\n")
+    assert str(caught.value) == "line 4: edge (2, 1) already listed on line 2"
+    path = tmp_path / "dup.txt"
+    path.write_text("n=3\n# a comment line\n2 3\n\n3 2\n")
+    assert main(["simulate", "--graph", str(path), "--config", "+-+", "--k", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: line 5: edge (3, 2) already listed on line 3\n")
 
 
 def test_empty_graph_needs_positive_n():
